@@ -93,8 +93,14 @@ impl Doorbell {
 
     /// Park until the bell has been rung past `seen` or `timeout`
     /// elapses; returns whether it was rung. Spurious wake-ups are
-    /// absorbed by the sequence check.
+    /// absorbed by the sequence check. The timeout runs at 1 ns timer
+    /// slack ([`lower_timer_slack`]): at the default 50 µs slack each
+    /// timed wait oversleeps by ≈56 µs, far past InterruptLike's 12 µs
+    /// moderation floor.
+    ///
+    /// [`lower_timer_slack`]: crate::realtime::lower_timer_slack
     pub fn wait_past(&self, seen: u64, timeout: Duration) -> bool {
+        crate::realtime::lower_timer_slack();
         let guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if guard.seq != seen {
             return true;

@@ -47,7 +47,9 @@ pub use wheel::{TimerEntry, TimerWheel};
 use crate::config::MetronomeConfig;
 use crate::discipline::{DisciplineSpec, Doorbell, ParkToken, RetrievalDiscipline, Verdict};
 use crate::policy::ThreadPolicy;
-use crate::realtime::{collect_stats, Metronome, RealtimeBackend, RealtimeStats, SharedState};
+use crate::realtime::{
+    collect_stats, spin_tail, Metronome, RealtimeBackend, RealtimeStats, SharedState,
+};
 use crate::rxqueue::RxQueue;
 use crossbeam::queue::ArrayQueue;
 use metronome_sim::Nanos;
@@ -71,13 +73,6 @@ const TICK_NS: u64 = 16_384;
 /// preemption grain that keeps one saturated queue from starving its
 /// shard-mates.
 const TURN_BUDGET: u32 = 64;
-
-/// How much of an upcoming deadline's tail the shard spins instead of
-/// blocking — the same precision/CPU trade [`PreciseSleeper`] makes, at
-/// shard rather than worker grain.
-///
-/// [`PreciseSleeper`]: crate::realtime::PreciseSleeper
-const SPIN_WAIT: Duration = Duration::from_micros(120);
 
 /// Upper bound on one idle block (bounds wheel catch-up work and stop
 /// latency even if a notification is somehow missed).
@@ -506,15 +501,21 @@ where
 }
 
 /// Empty run queue: block toward the next wheel deadline (or a bounded
-/// default), spinning the final stretch for µs-class wake precision.
+/// default), spinning the final [`spin_tail`] for µs-class wake
+/// precision — the same policy, and the same 1 ns timer slack on the
+/// blocking wait, as [`PreciseSleeper`], at shard rather than worker
+/// grain.
+///
+/// [`PreciseSleeper`]: crate::realtime::PreciseSleeper
 fn idle_wait(wheel: &TimerWheel, injector: &Injector, stop: &AtomicBool, epoch: Instant) {
     let now_ns = epoch.elapsed().as_nanos() as u64;
     match wheel.next_deadline_ns() {
         Some(d) if d <= now_ns => {} // due: return to expire it
         Some(d) => {
             let until = Duration::from_nanos(d - now_ns);
-            if until > SPIN_WAIT {
-                injector.wait((until - SPIN_WAIT).min(MAX_IDLE_WAIT));
+            let tail = spin_tail();
+            if until > tail {
+                injector.wait((until - tail).min(MAX_IDLE_WAIT));
             } else {
                 while (epoch.elapsed().as_nanos() as u64) < d {
                     if injector.is_hot() || stop.load(Ordering::Relaxed) {

@@ -29,8 +29,9 @@
 //! * [`predictor`] — closed-form CPU/wake-rate predictions from the same
 //!   renewal structure, validated against the simulation;
 //! * [`realtime`] — the protocol on real `std::thread`s with a
-//!   spin-assisted [`realtime::PreciseSleeper`] standing in for the
-//!   paper's `hr_sleep()` kernel service;
+//!   [`realtime::PreciseSleeper`] (`nanosleep` at 1 ns timer slack plus a
+//!   short spin tail) standing in for the paper's `hr_sleep()` kernel
+//!   service;
 //! * [`executor`] — the async backend: the same disciplines as
 //!   cooperative tasks on a vruntime-weighted sharded executor
 //!   ([`executor::AsyncMetronome`]) with a hierarchical

@@ -21,10 +21,12 @@
 //!
 //! **`hr_sleep()` substitution.** The paper's precision comes from a custom
 //! kernel sleep service we cannot ship from user space. [`PreciseSleeper`]
-//! stands in: it sleeps coarsely through the OS for the bulk of the
-//! interval and spin-waits the final stretch, delivering microsecond-class
-//! wake precision at a small, bounded CPU cost — the same trade the paper
-//! makes in kernel space (documented in DESIGN.md as a substitution).
+//! stands in with the configuration the paper measures next to it (§III-A,
+//! Fig. 1): a plain `nanosleep` on a thread whose timer slack is lowered
+//! to 1 ns ([`lower_timer_slack`]), plus a short spin-wait over the final
+//! stretch of the interval (20 µs) for the wake-up latency the kernel
+//! still adds. The sleep costs no CPU; only the tail does (documented in
+//! DESIGN.md as a substitution).
 
 use crate::config::MetronomeConfig;
 use crate::controller::AdaptiveController;
@@ -39,7 +41,9 @@ use metronome_telemetry::{
     NullSink, NullTrace, TelemetryHub, TelemetrySink, TraceHub, TraceSink, TraceVerdict, TracedSink,
 };
 use parking_lot::Mutex;
+use std::cell::OnceCell;
 use std::marker::PhantomData;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,44 +52,93 @@ use std::time::{Duration, Instant};
 /// stop flag (bounds shutdown latency of idle InterruptLike workers).
 const PARK_STOP_CHECK: Duration = Duration::from_millis(1);
 
-/// Hybrid sleep: OS sleep for the bulk, spin for the residual.
+/// Spin tail on a thread whose timer slack was lowered to 1 ns: covers
+/// the kernel's wake-up latency, which oversleeps 5–200 µs requests by a
+/// p50 of 5–8 µs and a p99 of 7–16 µs on a 2-vCPU guest.
+const TAIL_AT_MIN_SLACK: Duration = Duration::from_micros(20);
+
+/// Spin tail when the slack stays at the kernel's 50 µs default, where
+/// `nanosleep` and `Condvar::wait_timeout` oversleep by a p50 of ≈56 µs.
+const TAIL_AT_DEFAULT_SLACK: Duration = Duration::from_micros(120);
+
+/// Lower the calling thread's timer slack to 1 ns, once per thread, and
+/// report whether it is lowered.
 ///
-/// `spin_threshold` is how much of the tail is spun; larger values buy
-/// precision with CPU. The default 120 µs comfortably covers typical Linux
-/// `nanosleep` overshoot (≈50–100 µs without an RT class).
-///
-/// **Accounting semantic.** A `sleep()` call — including its spun tail,
-/// which for intervals at or below `spin_threshold` is the *whole*
-/// interval — counts as sleep time in telemetry, not busy time. The
-/// sleeper stands in for the paper's kernel `hr_sleep()`, whose sleeps
-/// are genuinely CPU-free; charging its user-space spin to the worker
-/// would report the substitution artifact instead of the protocol's
-/// cost. Every retrieval discipline goes through the same sleeper with
-/// the same threshold, so cross-discipline duty-cycle comparisons stay
-/// apples-to-apples *under the `hr_sleep` model*; the real spin cost of
-/// the substitution is documented in DESIGN.md §2 and measurable by
-/// dropping the threshold to zero ([`PreciseSleeper::with_spin_threshold`],
-/// the `nanosleep`-precision ablation).
-#[derive(Clone, Copy, Debug)]
-pub struct PreciseSleeper {
-    /// Portion of the interval spun instead of slept.
-    pub spin_threshold: Duration,
+/// This is `prctl(PR_SET_TIMERSLACK, 1)` — the `nanosleep` configuration
+/// the paper's Fig. 1 finds within ≈0.02 µs of `hr_sleep()`, and the one
+/// the simulator models as `metronome_os::config::TimerSlack::MinimalOneMicro`.
+/// The crate forbids `unsafe`, so instead of the syscall it writes `1` to
+/// `/proc/<tid>/timerslack_ns`, `<tid>` being the last component of the
+/// `/proc/thread-self` link (procfs has no `thread-self/timerslack_ns`).
+/// The outcome is cached in a thread-local, so every later call is one
+/// TLS read. Without procfs, or where the write is refused, the thread
+/// keeps the default slack and this returns `false`.
+pub fn lower_timer_slack() -> bool {
+    thread_local! {
+        static LOWERED: OnceCell<bool> = const { OnceCell::new() };
+    }
+    LOWERED.with(|lowered| {
+        *lowered.get_or_init(|| {
+            timer_slack_path().is_some_and(|path| std::fs::write(path, b"1").is_ok())
+        })
+    })
 }
 
-impl Default for PreciseSleeper {
-    fn default() -> Self {
-        PreciseSleeper {
-            spin_threshold: Duration::from_micros(120),
-        }
+/// The calling thread's `timerslack_ns` file, if procfs is mounted.
+fn timer_slack_path() -> Option<PathBuf> {
+    let link = std::fs::read_link("/proc/thread-self").ok()?;
+    Some(
+        Path::new("/proc")
+            .join(link.file_name()?)
+            .join("timerslack_ns"),
+    )
+}
+
+/// How much of a timed wait's end the calling thread spins instead of
+/// blocking: 20 µs once [`lower_timer_slack`] succeeded, 120 µs if it
+/// failed. The single precision-versus-CPU policy of every realtime wait
+/// ([`PreciseSleeper::default`] and the async executor's idle wait).
+pub(crate) fn spin_tail() -> Duration {
+    if lower_timer_slack() {
+        TAIL_AT_MIN_SLACK
+    } else {
+        TAIL_AT_DEFAULT_SLACK
     }
+}
+
+/// Hybrid sleep: a slack-free OS sleep for the bulk, a spin for the tail.
+///
+/// Every `sleep()` first lowers the thread's timer slack to 1 ns
+/// ([`lower_timer_slack`]). The default sleeper then spins the final
+/// 20 µs (120 µs where the slack stays at 50 µs); an explicit
+/// [`PreciseSleeper::with_spin_threshold`] spins exactly that.
+///
+/// **Accounting semantic.** A `sleep()` call — including its spun tail,
+/// which for intervals at or below the tail is the *whole* interval —
+/// counts as sleep time in telemetry, not busy time. The sleeper stands
+/// in for the paper's kernel `hr_sleep()`, whose sleeps are genuinely
+/// CPU-free; charging its user-space spin to the worker would report the
+/// substitution artifact instead of the protocol's cost. Every retrieval
+/// discipline goes through the same sleeper with the same tail, so
+/// cross-discipline duty-cycle comparisons stay apples-to-apples *under
+/// the `hr_sleep` model*; the real spin cost of the substitution is
+/// documented in DESIGN.md §2 and measurable by dropping the threshold to
+/// zero (the 1 ns-slack `nanosleep` ablation).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PreciseSleeper {
+    /// Portion of the interval spun instead of slept; `None` spins
+    /// [`spin_tail`], decided on the sleeping thread.
+    spin_threshold: Option<Duration>,
 }
 
 impl PreciseSleeper {
     /// A sleeper spinning the final `spin_threshold` of every interval.
     /// Larger thresholds buy wake precision with CPU; zero degrades to a
-    /// plain `thread::sleep` (the `nanosleep` ablation).
+    /// plain `thread::sleep` at 1 ns slack (the `nanosleep` ablation).
     pub fn with_spin_threshold(spin_threshold: Duration) -> Self {
-        PreciseSleeper { spin_threshold }
+        PreciseSleeper {
+            spin_threshold: Some(spin_threshold),
+        }
     }
 
     /// Sleep for at least `dur`, waking within spin precision of the
@@ -96,8 +149,15 @@ impl PreciseSleeper {
     pub fn sleep(&self, dur: Duration) -> Duration {
         let start = Instant::now();
         let deadline = start + dur;
-        if dur > self.spin_threshold {
-            std::thread::sleep(dur - self.spin_threshold);
+        let tail = match self.spin_threshold {
+            Some(threshold) => {
+                lower_timer_slack();
+                threshold
+            }
+            None => spin_tail(),
+        };
+        if dur > tail {
+            std::thread::sleep(dur - tail);
         }
         while Instant::now() < deadline {
             std::hint::spin_loop();
@@ -818,7 +878,7 @@ mod tests {
     #[test]
     fn precise_sleeper_hits_deadline() {
         let s = PreciseSleeper::default();
-        for req_us in [50u64, 200, 1_000] {
+        for (i, req_us) in [50u64, 200, 1_000].into_iter().enumerate() {
             let req = Duration::from_micros(req_us);
             let t0 = Instant::now();
             s.sleep(req);
@@ -829,7 +889,48 @@ mod tests {
                 actual < req + Duration::from_millis(20),
                 "woke far too late: {actual:?} for request {req:?}"
             );
+            if i == 0 {
+                // Read before asking `lower_timer_slack`, which would
+                // itself lower a slack the sleep left alone.
+                let slack = timer_slack_path().and_then(|p| std::fs::read_to_string(p).ok());
+                if lower_timer_slack() {
+                    assert_eq!(
+                        slack.as_deref().map(str::trim),
+                        Some("1"),
+                        "timer slack after the first sleep"
+                    );
+                }
+            }
         }
+    }
+
+    /// The sleeper's real CPU cost: the OS-sleep part is free, so on-CPU
+    /// time over wall time is about the spin tail's share of the interval
+    /// (20 µs of 200 µs), not the whole interval.
+    #[test]
+    fn precise_sleeper_cpu_stays_a_fraction_of_wall() {
+        // First field of schedstat: the thread's on-CPU time in ns.
+        let on_cpu_ns = || -> Option<u64> {
+            let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+            stat.split_whitespace().next()?.parse().ok()
+        };
+        let Some(cpu0) = on_cpu_ns() else {
+            println!("skipped: /proc/thread-self/schedstat is not readable");
+            return;
+        };
+        if !lower_timer_slack() {
+            println!("skipped: the thread's timer slack could not be lowered");
+            return;
+        }
+        let s = PreciseSleeper::default();
+        let t0 = Instant::now();
+        for _ in 0..1_000 {
+            s.sleep(Duration::from_micros(200));
+        }
+        let wall = t0.elapsed().as_nanos() as f64;
+        let cpu = (on_cpu_ns().expect("schedstat readable") - cpu0) as f64;
+        let ratio = cpu / wall;
+        assert!(ratio <= 0.20, "sleeper CPU/wall {ratio:.3} > 0.20");
     }
 
     #[test]

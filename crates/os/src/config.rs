@@ -173,7 +173,8 @@ impl Default for PowerConfig {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TimerSlack {
     /// `prctl(PR_SET_TIMERSLACK, 1)` — the best case the paper compares
-    /// `hr_sleep()` against in Fig. 1.
+    /// `hr_sleep()` against in Fig. 1. The real-thread runtime runs its
+    /// sleeps in this configuration (`metronome_core::realtime::lower_timer_slack`).
     MinimalOneMicro,
     /// The default 50 µs slack of a non-RT thread.
     DefaultFifty,
