@@ -24,7 +24,7 @@
 
 use crate::hotpath::BURST;
 use crossbeam::queue::ArrayQueue;
-use metronome_core::{DisciplineSpec, ExecBackend, MetronomeConfig, WorkerSet};
+use metronome_core::{ExecBackend, MetronomeConfig, WorkerSet, WorkerSpec};
 use metronome_dpdk::{Mbuf, Mempool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -105,20 +105,21 @@ pub fn scale_run(n_queues: usize, exec: ExecBackend, per_queue: u64) -> ScalePoi
     // remaining buffers are parked behind workers whose rings are empty,
     // so nothing ever spills back.
     let worker_burst = (cfg.burst as usize).min((POOL_POPULATION / (4 * n_queues)).max(1));
-    let set =
-        WorkerSet::start_discipline_scoped(exec, cfg, DisciplineSpec::Metronome, queues.clone(), {
-            let pool = &pool;
-            move |_worker| {
-                // Per-worker cache, like the realtime runner: a recycled
-                // burst is a thread/task-local stack push. The cache
-                // flushes when the worker is dropped at stop, so the
-                // allocs == frees audit below balances.
-                let mut cache = pool.cache(worker_burst);
-                move |_q: usize, burst: &mut Vec<Mbuf>| {
-                    cache.free_burst(burst.drain(..));
-                }
-            }
-        });
+    let spec = WorkerSpec {
+        exec,
+        cfg,
+        ..WorkerSpec::default()
+    };
+    let set = WorkerSet::start(spec, queues.clone(), |_worker| {
+        // Per-worker cache, like the realtime runner: a recycled burst is
+        // a thread/task-local stack push. The cache flushes when the
+        // worker is dropped at stop, so the allocs == frees audit below
+        // balances.
+        let mut cache = pool.cache(worker_burst);
+        move |_q: usize, burst: &mut Vec<Mbuf>| {
+            cache.free_burst(burst.drain(..));
+        }
+    });
 
     // Producer: burst-alloc, push round-robin with backpressure. An
     // exhausted pool and a full ring are the same condition — items in
@@ -199,13 +200,13 @@ pub fn thread_spawn_probe(n_queues: usize) -> (f64, f64) {
         .map(|_| Arc::new(ArrayQueue::new(8)))
         .collect();
     let t0 = Instant::now();
-    let set = WorkerSet::start_discipline_scoped(
-        ExecBackend::Threads,
+    let spec = WorkerSpec {
         cfg,
-        DisciplineSpec::Metronome,
-        queues,
-        |_worker| |_q: usize, burst: &mut Vec<u64>| burst.clear(),
-    );
+        ..WorkerSpec::default()
+    };
+    let set = WorkerSet::start(spec, queues, |_worker| {
+        |_q: usize, burst: &mut Vec<u64>| burst.clear()
+    });
     let rss = rss_mb();
     let stats = set.stop();
     assert_eq!(stats.total_processed(), 0);

@@ -588,9 +588,10 @@ impl RetrievalDiscipline for InterruptLike {
 /// A discipline choice a runner can make at runtime (the realtime
 /// counterpart of `SystemKind`): how many workers to spawn and which
 /// state machine each runs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub enum DisciplineSpec {
     /// `M` Metronome threads racing over `N` queues (Listing 2).
+    #[default]
     Metronome,
     /// One busy-polling worker pinned per queue.
     BusyPoll,

@@ -1,9 +1,9 @@
 //! The async discipline executor: 1000+ retrieval queues on a handful of
 //! OS threads.
 //!
-//! The thread backend ([`crate::realtime::Metronome`]) spawns one OS
-//! thread per worker, which caps scenario scale at what the host can
-//! schedule. This module runs the *same* [`RetrievalDiscipline`] state
+//! The thread backend ([`crate::realtime`]) spawns one OS thread per
+//! worker, which caps scenario scale at what the host can schedule. This
+//! module runs the *same* [`RetrievalDiscipline`] state
 //! machines as cooperative tasks over a hand-rolled, vruntime-weighted
 //! executor — no external async runtime, consistent with the offline
 //! vendoring policy. A worker set of `W` tasks runs on `shards` executor
@@ -39,6 +39,9 @@
 //! [`TelemetrySink`] calls at the same protocol boundaries, so a report
 //! produced on this backend is directly comparable to the thread
 //! backend's — that is what the thread-vs-async parity tests pin down.
+//!
+//! [`WorkerSet::start`] is the one way to start retrieval workers on
+//! either backend; [`WorkerSpec`] says which.
 
 mod wheel;
 
@@ -47,9 +50,7 @@ pub use wheel::{TimerEntry, TimerWheel};
 use crate::config::MetronomeConfig;
 use crate::discipline::{DisciplineSpec, Doorbell, ParkToken, RetrievalDiscipline, Verdict};
 use crate::policy::ThreadPolicy;
-use crate::realtime::{
-    collect_stats, spin_tail, Metronome, RealtimeBackend, RealtimeStats, SharedState,
-};
+use crate::realtime::{spawn_worker, spin_tail, RealtimeBackend, RealtimeStats, SharedState};
 use crate::rxqueue::RxQueue;
 use crossbeam::queue::ArrayQueue;
 use metronome_sim::Nanos;
@@ -62,6 +63,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Wake, Waker};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Wheel tick: ≈16 µs coalescing grain, fine enough that Metronome's
@@ -530,195 +532,275 @@ fn idle_wait(wheel: &TimerWheel, injector: &Injector, stop: &AtomicBool, epoch: 
 }
 
 // ---------------------------------------------------------------------------
-// AsyncMetronome: the executor-backed worker set
+// WorkerSet: the one way to start retrieval workers, on either backend
 // ---------------------------------------------------------------------------
 
-/// A running worker set on the async executor — the drop-in counterpart
-/// of [`Metronome`], same construction and observation surface, with the
-/// worker-per-thread model replaced by `shards` executor threads.
-pub struct AsyncMetronome<T: Send + 'static, Q: RxQueue<T> = Arc<ArrayQueue<T>>> {
+/// Which execution backend a worker set runs on: one OS thread per
+/// worker (the paper's model) or cooperative tasks on a sharded async
+/// executor (the 1000+-queue scale path).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ExecBackend {
+    /// One OS thread per worker.
+    #[default]
+    Threads,
+    /// Cooperative tasks on `shards` executor threads; `shards` is
+    /// clamped to `[1, worker count]`.
+    Async {
+        /// Executor threads to spread the task set over.
+        shards: usize,
+    },
+}
+
+impl ExecBackend {
+    /// Stable lowercase label ("threads" / "async") for protocols and
+    /// reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            ExecBackend::Threads => "threads",
+            ExecBackend::Async { .. } => "async",
+        }
+    }
+
+    /// How many trace-ring recorder slots a worker set on this backend
+    /// records into: one per worker on the thread backend, one per shard
+    /// (after clamping to the worker count) on the executor — which is
+    /// also how many executor threads it spawns.
+    pub fn trace_recorders(self, cfg: &MetronomeConfig, spec: &DisciplineSpec) -> usize {
+        let workers = spec.workers(cfg.m_threads, cfg.n_queues);
+        match self {
+            ExecBackend::Threads => workers,
+            ExecBackend::Async { shards } => shards.clamp(1, workers.max(1)),
+        }
+    }
+}
+
+/// What [`WorkerSet::start`] runs: a retrieval discipline on a backend,
+/// and the telemetry hub and flight recorder its workers publish into.
+#[derive(Default)]
+pub struct WorkerSpec {
+    /// The backend the workers run on.
+    pub exec: ExecBackend,
+    /// Worker count (`m_threads`, for Metronome), queue count, burst and
+    /// the adaptive-timeout tunables.
+    pub cfg: MetronomeConfig,
+    /// The discipline every worker runs: `cfg.m_threads` racing workers
+    /// for [`DisciplineSpec::Metronome`], one pinned worker per queue for
+    /// the baselines (which have no queue race).
+    pub discipline: DisciplineSpec,
+    /// Telemetry: every worker publishes wakes, busy/sleep time, drained
+    /// bursts and `TS` updates into it (relaxed-atomic increments at
+    /// protocol grain). Needs one worker slot per worker — per task, not
+    /// per shard, on the executor — and `cfg.n_queues` queue slots.
+    pub hub: Option<Arc<TelemetryHub>>,
+    /// Flight-recorder tracing (needs `hub`): turn verdicts, sleep
+    /// precision, park/unpark and drained bursts in per-recorder rings,
+    /// plus wake-latency and oversleep histograms. Needs at least
+    /// [`ExecBackend::trace_recorders`] slots; extra slots stay empty
+    /// (callers may reserve them for control-plane markers). On the
+    /// executor each shard records its scheduler events too, with the
+    /// global worker id in the event payloads.
+    pub trace: Option<Arc<TraceHub>>,
+}
+
+/// A running retrieval worker set on either backend: the one handle the
+/// realtime runner, the daemon and the bench harness hold.
+pub struct WorkerSet<T: Send + 'static, Q: RxQueue<T> = Arc<ArrayQueue<T>>> {
     queues: Vec<Q>,
     stop: Arc<AtomicBool>,
-    injectors: Vec<Arc<Injector>>,
-    handles: Vec<std::thread::JoinHandle<Vec<(usize, ThreadPolicy)>>>,
     shared: Arc<SharedState>,
     cfg: MetronomeConfig,
+    joins: Joins,
     _item: PhantomData<fn() -> T>,
 }
 
-impl<T: Send + 'static, Q: RxQueue<T>> AsyncMetronome<T, Q> {
-    /// Start `spec`'s worker set as cooperative tasks on `shards`
-    /// executor threads (clamped to `[1, worker count]`), with a
-    /// per-worker process factory — the async counterpart of
-    /// [`Metronome::start_discipline_scoped`].
-    pub fn start_discipline_scoped<P>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-        shards: usize,
-    ) -> Self
+/// The backend-specific part of a running set: what `stop` joins.
+enum Joins {
+    /// One thread per worker, each returning its policy.
+    Threads(Vec<JoinHandle<ThreadPolicy>>),
+    /// Executor shards, each returning its tasks' policies keyed by
+    /// global worker id, and the injectors that rouse them at stop.
+    Async {
+        injectors: Vec<Arc<Injector>>,
+        handles: Vec<JoinHandle<Vec<(usize, ThreadPolicy)>>>,
+    },
+}
+
+impl<T: Send + 'static, Q: RxQueue<T>> WorkerSet<T, Q> {
+    /// Start `spec`'s workers over `queues`. `make_process(worker)` is
+    /// called once per worker and the returned closure is moved onto that
+    /// worker, so per-worker state (a mempool cache, a flow-table shard)
+    /// rides into the hot path with no synchronization; callers sharing
+    /// one closure write `|_| …`.
+    ///
+    /// # Panics
+    /// If `spec.cfg` is invalid, `queues` does not hold `cfg.n_queues`
+    /// queues, the hub or trace hub is sized wrong for the set (see
+    /// [`WorkerSpec`]), or a trace hub comes without a telemetry hub.
+    pub fn start<P>(spec: WorkerSpec, queues: Vec<Q>, make_process: impl FnMut(usize) -> P) -> Self
     where
         P: FnMut(usize, &mut Vec<T>) + Send + 'static,
     {
-        Self::start_with_sinks(
+        let WorkerSpec {
+            exec,
             cfg,
-            spec,
+            discipline,
+            hub,
+            trace,
+        } = spec;
+        cfg.validate().expect("invalid Metronome configuration");
+        assert_eq!(queues.len(), cfg.n_queues, "queue count mismatch");
+        if let Some(hub) = &hub {
+            let workers = discipline.workers(cfg.m_threads, cfg.n_queues);
+            assert_eq!(hub.n_workers(), workers, "hub/config worker mismatch");
+            assert_eq!(hub.n_queues(), cfg.n_queues, "hub/config queue mismatch");
+        }
+        if let Some(trace) = &trace {
+            let slots = exec.trace_recorders(&cfg, &discipline);
+            assert!(
+                trace.n_recorders() >= slots,
+                "trace hub has {} recorder slots; the {} backend records into {slots}",
+                trace.n_recorders(),
+                exec.label()
+            );
+        }
+        let mut set = WorkerSet {
             queues,
-            make_process,
-            |_worker| NullSink,
-            |_shard| NullTrace,
-            shards,
-        )
+            stop: Arc::new(AtomicBool::new(false)),
+            shared: SharedState::new(&cfg),
+            cfg,
+            joins: Joins::Threads(Vec::new()),
+            _item: PhantomData,
+        };
+        // NullSink / NullTrace when telemetry / tracing is off: such a
+        // worker monomorphizes to a loop with zero record-path cost.
+        set.joins = match (hub, trace) {
+            (None, None) => set.spawn(exec, &discipline, make_process, |_| NullSink, |_| NullTrace),
+            (Some(hub), None) => set.spawn(
+                exec,
+                &discipline,
+                make_process,
+                move |worker| hub.worker_sink(worker),
+                |_| NullTrace,
+            ),
+            (Some(hub), Some(trace)) => set.spawn(
+                exec,
+                &discipline,
+                make_process,
+                move |worker| hub.worker_sink(worker),
+                move |recorder| trace.recorder(recorder),
+            ),
+            (None, Some(_)) => panic!("a trace hub needs a telemetry hub"),
+        };
+        set
     }
 
-    /// [`AsyncMetronome::start_discipline_scoped`] with telemetry. The
-    /// hub needs one worker slot per *task* (not per shard) — worker
-    /// numbering and labeling are identical to the thread backend's, so
-    /// reports stay comparable across backends.
-    pub fn start_discipline_scoped_with_telemetry<P>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-        hub: &Arc<TelemetryHub>,
-        shards: usize,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-    {
-        assert_eq!(
-            hub.n_workers(),
-            spec.workers(cfg.m_threads, cfg.n_queues),
-            "hub/config worker mismatch"
-        );
-        assert_eq!(hub.n_queues(), cfg.n_queues, "hub/config queue mismatch");
-        let hub = Arc::clone(hub);
-        Self::start_with_sinks(
-            cfg,
-            spec,
-            queues,
-            make_process,
-            move |worker| hub.worker_sink(worker),
-            |_shard| NullTrace,
-            shards,
-        )
-    }
-
-    /// [`AsyncMetronome::start_discipline_scoped_with_telemetry`] with
-    /// flight-recorder tracing. Unlike the thread backend (one recorder
-    /// per worker), the executor records at *shard* grain: each shard
-    /// thread owns one ring slot of `trace` and logs its scheduler events
-    /// (slices, vruntime picks, wheel activity) alongside the per-task
-    /// verdicts, with the global worker id carried in the event payloads.
-    /// The trace hub must have at least `shards` recorder slots (after
-    /// clamping to `[1, worker count]`).
-    pub fn start_discipline_scoped_traced<P>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-        hub: &Arc<TelemetryHub>,
-        trace: &Arc<TraceHub>,
-        shards: usize,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-    {
-        let workers = spec.workers(cfg.m_threads, cfg.n_queues);
-        assert_eq!(hub.n_workers(), workers, "hub/config worker mismatch");
-        assert_eq!(hub.n_queues(), cfg.n_queues, "hub/config queue mismatch");
-        assert!(
-            trace.n_recorders() >= shards.clamp(1, workers.max(1)),
-            "trace hub has {} recorder slots for {} shards",
-            trace.n_recorders(),
-            shards.clamp(1, workers.max(1))
-        );
-        let hub = Arc::clone(hub);
-        let trace = Arc::clone(trace);
-        Self::start_with_sinks(
-            cfg,
-            spec,
-            queues,
-            make_process,
-            move |worker| hub.worker_sink(worker),
-            move |shard| trace.recorder(shard),
-            shards,
-        )
-    }
-
-    fn start_with_sinks<P, S, R>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
+    /// Spawn the workers: `make_process` and `make_sink` build each
+    /// worker's owned process closure and telemetry view, `make_tracer`
+    /// each recorder's flight-recorder view (per worker on threads, per
+    /// shard on the executor).
+    fn spawn<P, S, R>(
+        &self,
+        exec: ExecBackend,
+        discipline: &DisciplineSpec,
         mut make_process: impl FnMut(usize) -> P,
         make_sink: impl Fn(usize) -> S,
         make_tracer: impl Fn(usize) -> R,
-        shards: usize,
-    ) -> Self
+    ) -> Joins
     where
         P: FnMut(usize, &mut Vec<T>) + Send + 'static,
         S: TelemetrySink + Send + 'static,
         R: TraceSink + Send + 'static,
     {
-        cfg.validate().expect("invalid Metronome configuration");
-        assert_eq!(queues.len(), cfg.n_queues, "queue count mismatch");
-        let n_tasks = spec.workers(cfg.m_threads, cfg.n_queues);
-        let shards = shards.clamp(1, n_tasks.max(1));
-        let shared = SharedState::new(&cfg);
-        let stop = Arc::new(AtomicBool::new(false));
-        let label = spec.kind().label();
-        let injectors: Vec<_> = (0..shards).map(|_| Injector::new()).collect();
-        let mut per_shard: Vec<Vec<Task<T, P, Q, S>>> = (0..shards).map(|_| Vec::new()).collect();
-        for worker in 0..n_tasks {
-            let shard = worker % shards;
-            let local = per_shard[shard].len();
-            let waker = Waker::from(Arc::new(TaskWaker {
-                injector: Arc::clone(&injectors[shard]),
-                task: local,
-            }));
-            per_shard[shard].push(Task {
-                id: worker,
-                discipline: spec.build(worker, cfg.n_queues, cfg.burst, &shared.doorbells),
-                backend: RealtimeBackend::new(
-                    queues.clone(),
-                    Arc::clone(&shared),
-                    make_process(worker),
-                ),
-                sink: make_sink(worker),
-                waker,
-                state: RunState::Runnable,
-                vruntime: 0,
-                weight: NICE0_WEIGHT,
-                gen: 0,
-                idle_from: None,
-                oversleep_deadline: None,
-                sleep_requested: None,
-                ready_at: None,
-                woke_from_park: false,
-            });
+        let label = discipline.kind().label();
+        let n_workers = discipline.workers(self.cfg.m_threads, self.cfg.n_queues);
+        // Both backends run the same RealtimeBackend the single-threaded
+        // harness hands out (the parity test drives exactly this
+        // substrate), each with its worker's own process closure.
+        let mut backend = |worker| {
+            RealtimeBackend::new(
+                self.queues.clone(),
+                Arc::clone(&self.shared),
+                make_process(worker),
+            )
+        };
+        let build = |worker| {
+            discipline.build(
+                worker,
+                self.cfg.n_queues,
+                self.cfg.burst,
+                &self.shared.doorbells,
+            )
+        };
+        match exec {
+            ExecBackend::Threads => Joins::Threads(
+                (0..n_workers)
+                    .map(|worker| {
+                        spawn_worker(
+                            format!("{label}-{worker}"),
+                            build(worker),
+                            backend(worker),
+                            make_sink(worker),
+                            make_tracer(worker),
+                            Arc::clone(&self.stop),
+                        )
+                    })
+                    .collect(),
+            ),
+            ExecBackend::Async { .. } => {
+                let shards = exec.trace_recorders(&self.cfg, discipline);
+                let injectors: Vec<_> = (0..shards).map(|_| Injector::new()).collect();
+                let mut per_shard: Vec<Vec<Task<T, P, Q, S>>> =
+                    (0..shards).map(|_| Vec::new()).collect();
+                for worker in 0..n_workers {
+                    let shard = worker % shards;
+                    let waker = Waker::from(Arc::new(TaskWaker {
+                        injector: Arc::clone(&injectors[shard]),
+                        task: per_shard[shard].len(),
+                    }));
+                    per_shard[shard].push(Task {
+                        id: worker,
+                        discipline: build(worker),
+                        backend: backend(worker),
+                        sink: make_sink(worker),
+                        waker,
+                        state: RunState::Runnable,
+                        vruntime: 0,
+                        weight: NICE0_WEIGHT,
+                        gen: 0,
+                        idle_from: None,
+                        oversleep_deadline: None,
+                        sleep_requested: None,
+                        ready_at: None,
+                        woke_from_park: false,
+                    });
+                }
+                let handles = per_shard
+                    .into_iter()
+                    .zip(&injectors)
+                    .enumerate()
+                    .map(|(s, (tasks, injector))| {
+                        let injector = Arc::clone(injector);
+                        let stop = Arc::clone(&self.stop);
+                        let tracer = make_tracer(s);
+                        std::thread::Builder::new()
+                            .name(format!("{label}-exec-{s}"))
+                            .spawn(move || run_shard(tasks, injector, stop, tracer))
+                            .expect("spawn executor shard")
+                    })
+                    .collect();
+                Joins::Async { injectors, handles }
+            }
         }
-        let handles = per_shard
-            .into_iter()
-            .enumerate()
-            .map(|(s, tasks)| {
-                let injector = Arc::clone(&injectors[s]);
-                let stop = Arc::clone(&stop);
-                let tracer = make_tracer(s);
-                std::thread::Builder::new()
-                    .name(format!("{label}-exec-{s}"))
-                    .spawn(move || run_shard(tasks, injector, stop, tracer))
-                    .expect("spawn executor shard")
-            })
-            .collect();
-        AsyncMetronome {
-            queues,
-            stop,
-            injectors,
-            handles,
-            shared,
-            cfg,
-            _item: PhantomData,
+    }
+
+    /// Which backend this set runs on (the executor's shard count after
+    /// clamping).
+    pub fn exec(&self) -> ExecBackend {
+        match &self.joins {
+            Joins::Threads(_) => ExecBackend::Threads,
+            Joins::Async { injectors, .. } => ExecBackend::Async {
+                shards: injectors.len(),
+            },
         }
     }
 
@@ -727,12 +809,9 @@ impl<T: Send + 'static, Q: RxQueue<T>> AsyncMetronome<T, Q> {
         &self.queues
     }
 
-    /// Number of executor shard threads.
-    pub fn shards(&self) -> usize {
-        self.injectors.len()
-    }
-
-    /// Queue `q`'s wake-up doorbell (see [`Metronome::doorbell`]).
+    /// Queue `q`'s wake-up doorbell. A producer feeding an InterruptLike
+    /// worker set must ring it after enqueuing (once per burst); for the
+    /// other disciplines ringing is harmless and ignored.
     pub fn doorbell(&self, q: usize) -> &Arc<Doorbell> {
         &self.shared.doorbells[q]
     }
@@ -752,241 +831,50 @@ impl<T: Send + 'static, Q: RxQueue<T>> AsyncMetronome<T, Q> {
         self.shared.controller.lock().ts(queue)
     }
 
-    /// Stop all shards and collect final statistics, in the same global
-    /// worker order the thread backend reports.
+    /// Stop all workers and collect final statistics, in global worker
+    /// order on either backend.
     pub fn stop(self) -> RealtimeStats {
         self.stop.store(true, Ordering::Relaxed);
-        for injector in &self.injectors {
-            injector.notify();
+        let policies: Vec<ThreadPolicy> = match self.joins {
+            Joins::Threads(handles) => handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect(),
+            Joins::Async { injectors, handles } => {
+                for injector in &injectors {
+                    injector.notify();
+                }
+                let mut tagged: Vec<(usize, ThreadPolicy)> = handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("executor shard panicked"))
+                    .collect();
+                tagged.sort_by_key(|&(id, _)| id);
+                tagged.into_iter().map(|(_, p)| p).collect()
+            }
+        };
+        let mut stats = RealtimeStats::default();
+        for policy in policies {
+            stats.wakes.push(policy.wakes);
+            stats.races_won.push(policy.races_won);
+            stats.races_lost.push(policy.races_lost);
         }
-        let mut policies: Vec<(usize, ThreadPolicy)> = self
-            .handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("executor shard panicked"))
+        // Counters are read only after every worker joined: a worker that
+        // was mid-turn when the flag rose finishes its drain first, and
+        // those packets must be on the books (the realtime runner asserts
+        // offered = processed + dropped against these).
+        stats.processed = self
+            .shared
+            .processed
+            .iter()
+            .map(|p| p.load(Ordering::Relaxed))
             .collect();
-        policies.sort_by_key(|&(id, _)| id);
-        collect_stats(
-            &self.shared,
-            self.cfg.n_queues,
-            policies.into_iter().map(|(_, p)| p).collect(),
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ExecBackend + WorkerSet: runtime-selectable backend
-// ---------------------------------------------------------------------------
-
-/// Which execution backend a worker set runs on: one OS thread per
-/// worker (the paper's model) or cooperative tasks on a sharded async
-/// executor (the 1000+-queue scale path).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecBackend {
-    /// One OS thread per worker ([`Metronome`]).
-    #[default]
-    Threads,
-    /// Cooperative tasks on `shards` executor threads
-    /// ([`AsyncMetronome`]); `shards` is clamped to `[1, worker count]`.
-    Async {
-        /// Executor threads to spread the task set over.
-        shards: usize,
-    },
-}
-
-impl ExecBackend {
-    /// Stable lowercase label ("threads" / "async") for protocols and
-    /// reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecBackend::Threads => "threads",
-            ExecBackend::Async { .. } => "async",
+        let ctrl = self.shared.controller.lock();
+        for q in 0..self.cfg.n_queues {
+            stats.rho.push(ctrl.rho(q));
+            stats.ts.push(ctrl.ts(q));
         }
-    }
-}
-
-/// A running worker set on either backend: the one handle the realtime
-/// runner and the daemon hold, delegating the shared observation surface
-/// ([`queues`](WorkerSet::queues), [`doorbell`](WorkerSet::doorbell),
-/// [`processed`](WorkerSet::processed), …) to whichever backend is live.
-pub enum WorkerSet<T: Send + 'static, Q: RxQueue<T> = Arc<ArrayQueue<T>>> {
-    /// One OS thread per worker.
-    Threads(Metronome<T, Q>),
-    /// Cooperative tasks on executor shards.
-    Async(AsyncMetronome<T, Q>),
-}
-
-impl<T: Send + 'static, Q: RxQueue<T>> WorkerSet<T, Q> {
-    /// Start `spec`'s worker set on `exec`, with a per-worker process
-    /// factory (see [`Metronome::start_discipline_scoped`]).
-    pub fn start_discipline_scoped<P>(
-        exec: ExecBackend,
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-    {
-        match exec {
-            ExecBackend::Threads => WorkerSet::Threads(Metronome::start_discipline_scoped(
-                cfg,
-                spec,
-                queues,
-                make_process,
-            )),
-            ExecBackend::Async { shards } => WorkerSet::Async(
-                AsyncMetronome::start_discipline_scoped(cfg, spec, queues, make_process, shards),
-            ),
-        }
-    }
-
-    /// [`WorkerSet::start_discipline_scoped`] with telemetry; the hub
-    /// needs one worker slot per worker on either backend.
-    pub fn start_discipline_scoped_with_telemetry<P>(
-        exec: ExecBackend,
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-        hub: &Arc<TelemetryHub>,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-    {
-        match exec {
-            ExecBackend::Threads => {
-                WorkerSet::Threads(Metronome::start_discipline_scoped_with_telemetry(
-                    cfg,
-                    spec,
-                    queues,
-                    make_process,
-                    hub,
-                ))
-            }
-            ExecBackend::Async { shards } => {
-                WorkerSet::Async(AsyncMetronome::start_discipline_scoped_with_telemetry(
-                    cfg,
-                    spec,
-                    queues,
-                    make_process,
-                    hub,
-                    shards,
-                ))
-            }
-        }
-    }
-
-    /// [`WorkerSet::start_discipline_scoped_with_telemetry`] with
-    /// flight-recorder tracing. Recorder grain follows the backend: one
-    /// ring per worker on [`ExecBackend::Threads`], one ring per shard on
-    /// [`ExecBackend::Async`] — size the trace hub with
-    /// [`ExecBackend`]-aware arithmetic (see
-    /// [`WorkerSet::trace_recorders`]).
-    pub fn start_discipline_scoped_traced<P>(
-        exec: ExecBackend,
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-        hub: &Arc<TelemetryHub>,
-        trace: &Arc<TraceHub>,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-    {
-        match exec {
-            ExecBackend::Threads => WorkerSet::Threads(Metronome::start_discipline_scoped_traced(
-                cfg,
-                spec,
-                queues,
-                make_process,
-                hub,
-                trace,
-            )),
-            ExecBackend::Async { shards } => {
-                WorkerSet::Async(AsyncMetronome::start_discipline_scoped_traced(
-                    cfg,
-                    spec,
-                    queues,
-                    make_process,
-                    hub,
-                    trace,
-                    shards,
-                ))
-            }
-        }
-    }
-
-    /// How many trace-ring recorder slots a worker set on `exec` records
-    /// into: one per worker on the thread backend, one per shard (after
-    /// clamping to the worker count) on the executor.
-    pub fn trace_recorders(
-        exec: ExecBackend,
-        cfg: &MetronomeConfig,
-        spec: DisciplineSpec,
-    ) -> usize {
-        let workers = spec.workers(cfg.m_threads, cfg.n_queues);
-        match exec {
-            ExecBackend::Threads => workers,
-            ExecBackend::Async { shards } => shards.clamp(1, workers.max(1)),
-        }
-    }
-
-    /// Which backend this set runs on.
-    pub fn exec(&self) -> ExecBackend {
-        match self {
-            WorkerSet::Threads(_) => ExecBackend::Threads,
-            WorkerSet::Async(a) => ExecBackend::Async { shards: a.shards() },
-        }
-    }
-
-    /// The Rx queues (for producers to push into).
-    pub fn queues(&self) -> &[Q] {
-        match self {
-            WorkerSet::Threads(m) => m.queues(),
-            WorkerSet::Async(a) => a.queues(),
-        }
-    }
-
-    /// Queue `q`'s wake-up doorbell.
-    pub fn doorbell(&self, q: usize) -> &Arc<Doorbell> {
-        match self {
-            WorkerSet::Threads(m) => m.doorbell(q),
-            WorkerSet::Async(a) => a.doorbell(q),
-        }
-    }
-
-    /// Items processed so far on a queue.
-    pub fn processed(&self, queue: usize) -> u64 {
-        match self {
-            WorkerSet::Threads(m) => m.processed(queue),
-            WorkerSet::Async(a) => a.processed(queue),
-        }
-    }
-
-    /// Current smoothed load estimate of a queue.
-    pub fn rho(&self, queue: usize) -> f64 {
-        match self {
-            WorkerSet::Threads(m) => m.rho(queue),
-            WorkerSet::Async(a) => a.rho(queue),
-        }
-    }
-
-    /// Current adaptive TS of a queue.
-    pub fn ts(&self, queue: usize) -> Nanos {
-        match self {
-            WorkerSet::Threads(m) => m.ts(queue),
-            WorkerSet::Async(a) => a.ts(queue),
-        }
-    }
-
-    /// Stop all workers and collect final statistics.
-    pub fn stop(self) -> RealtimeStats {
-        match self {
-            WorkerSet::Threads(m) => m.stop(),
-            WorkerSet::Async(a) => a.stop(),
-        }
+        stats.controller = Some(ctrl.clone());
+        stats
     }
 }
 
@@ -995,6 +883,15 @@ mod tests {
     use super::*;
     use crate::discipline::ModerationConfig;
     use std::sync::atomic::AtomicU64;
+
+    /// A Metronome worker set for `cfg` on `shards` executor threads.
+    fn on_shards(cfg: MetronomeConfig, shards: usize) -> WorkerSpec {
+        WorkerSpec {
+            exec: ExecBackend::Async { shards },
+            cfg,
+            ..WorkerSpec::default()
+        }
+    }
 
     #[test]
     fn async_processes_everything_exactly_once() {
@@ -1013,24 +910,18 @@ mod tests {
         let m = {
             let seen = Arc::clone(&seen);
             let sum = Arc::clone(&sum);
-            AsyncMetronome::start_discipline_scoped(
-                cfg,
-                DisciplineSpec::Metronome,
-                queues.clone(),
-                move |_worker| {
-                    let seen = Arc::clone(&seen);
-                    let sum = Arc::clone(&sum);
-                    move |_q: usize, burst: &mut Vec<u64>| {
-                        for item in burst.drain(..) {
-                            seen.fetch_add(1, Ordering::Relaxed);
-                            sum.fetch_add(item, Ordering::Relaxed);
-                        }
+            WorkerSet::start(on_shards(cfg, 2), queues.clone(), move |_worker| {
+                let seen = Arc::clone(&seen);
+                let sum = Arc::clone(&sum);
+                move |_q: usize, burst: &mut Vec<u64>| {
+                    for item in burst.drain(..) {
+                        seen.fetch_add(1, Ordering::Relaxed);
+                        sum.fetch_add(item, Ordering::Relaxed);
                     }
-                },
-                2,
-            )
+                }
+            })
         };
-        assert_eq!(m.shards(), 2);
+        assert_eq!(m.exec(), ExecBackend::Async { shards: 2 });
         let n: u64 = 10_000;
         for i in 0..n {
             let q = (i % 2) as usize;
@@ -1071,18 +962,16 @@ mod tests {
         let seen = Arc::new(AtomicU64::new(0));
         let m = {
             let seen = Arc::clone(&seen);
-            AsyncMetronome::start_discipline_scoped(
-                cfg,
-                spec,
-                queues.clone(),
-                move |_worker| {
-                    let seen = Arc::clone(&seen);
-                    move |_q: usize, burst: &mut Vec<u64>| {
-                        seen.fetch_add(burst.drain(..).count() as u64, Ordering::Relaxed);
-                    }
-                },
-                2,
-            )
+            let spec = WorkerSpec {
+                discipline: spec,
+                ..on_shards(cfg, 2)
+            };
+            WorkerSet::start(spec, queues.clone(), move |_worker| {
+                let seen = Arc::clone(&seen);
+                move |_q: usize, burst: &mut Vec<u64>| {
+                    seen.fetch_add(burst.drain(..).count() as u64, Ordering::Relaxed);
+                }
+            })
         };
         let n: u64 = 4_000;
         for i in 0..n {
@@ -1149,13 +1038,11 @@ mod tests {
             ..MetronomeConfig::default()
         };
         let queues = vec![Arc::new(ArrayQueue::<u64>::new(64))];
-        let m = AsyncMetronome::start_discipline_scoped(
-            cfg,
-            DisciplineSpec::InterruptLike(ModerationConfig::default()),
-            queues,
-            |_worker| |_q: usize, _b: &mut Vec<u64>| {},
-            1,
-        );
+        let spec = WorkerSpec {
+            discipline: DisciplineSpec::InterruptLike(ModerationConfig::default()),
+            ..on_shards(cfg, 1)
+        };
+        let m = WorkerSet::start(spec, queues, |_worker| |_q: usize, _b: &mut Vec<u64>| {});
         std::thread::sleep(Duration::from_millis(50));
         let t0 = Instant::now();
         let stats = m.stop();
@@ -1179,19 +1066,16 @@ mod tests {
         let queues: Vec<_> = (0..2)
             .map(|_| Arc::new(ArrayQueue::<u64>::new(4096)))
             .collect();
-        let m = AsyncMetronome::start_discipline_scoped_traced(
-            cfg,
-            DisciplineSpec::Metronome,
-            queues.clone(),
-            |_worker| {
-                |_q: usize, burst: &mut Vec<u64>| {
-                    burst.drain(..);
-                }
-            },
-            &hub,
-            &trace,
-            2,
-        );
+        let spec = WorkerSpec {
+            hub: Some(Arc::clone(&hub)),
+            trace: Some(Arc::clone(&trace)),
+            ..on_shards(cfg, 2)
+        };
+        let m = WorkerSet::start(spec, queues.clone(), |_worker| {
+            |_q: usize, burst: &mut Vec<u64>| {
+                burst.drain(..);
+            }
+        });
         let n = 4_000u64;
         for i in 0..n {
             let q = (i % 2) as usize;
@@ -1245,18 +1129,16 @@ mod tests {
             let seen = Arc::new(AtomicU64::new(0));
             let ws = {
                 let seen = Arc::clone(&seen);
-                WorkerSet::start_discipline_scoped(
+                let spec = WorkerSpec {
                     exec,
-                    MetronomeConfig::default(),
-                    DisciplineSpec::Metronome,
-                    queues.clone(),
-                    move |_worker| {
-                        let seen = Arc::clone(&seen);
-                        move |_q: usize, burst: &mut Vec<u64>| {
-                            seen.fetch_add(burst.drain(..).count() as u64, Ordering::Relaxed);
-                        }
-                    },
-                )
+                    ..WorkerSpec::default()
+                };
+                WorkerSet::start(spec, queues.clone(), move |_worker| {
+                    let seen = Arc::clone(&seen);
+                    move |_q: usize, burst: &mut Vec<u64>| {
+                        seen.fetch_add(burst.drain(..).count() as u64, Ordering::Relaxed);
+                    }
+                })
             };
             assert_eq!(ws.exec().label(), exec.label());
             for i in 0..100u64 {
@@ -1269,5 +1151,102 @@ mod tests {
             let stats = ws.stop();
             assert_eq!(stats.total_processed(), 100, "{} backend", exec.label());
         }
+    }
+
+    /// Start and stop a two-worker, one-queue Metronome set on `exec`
+    /// with the given hubs. The sizing asserts fire before any worker
+    /// spawns.
+    fn start_sized(
+        exec: ExecBackend,
+        hub: Option<Arc<TelemetryHub>>,
+        trace: Option<Arc<TraceHub>>,
+    ) {
+        let cfg = MetronomeConfig {
+            m_threads: 2,
+            n_queues: 1,
+            ..MetronomeConfig::default()
+        };
+        let spec = WorkerSpec {
+            exec,
+            cfg,
+            hub,
+            trace,
+            ..WorkerSpec::default()
+        };
+        let queues = vec![Arc::new(ArrayQueue::<u64>::new(8))];
+        WorkerSet::start(spec, queues, |_| |_q: usize, _b: &mut Vec<u64>| {}).stop();
+    }
+
+    const ASYNC: ExecBackend = ExecBackend::Async { shards: 2 };
+
+    #[test]
+    #[should_panic(expected = "hub/config worker mismatch")]
+    fn threads_reject_a_hub_with_the_wrong_worker_count() {
+        start_sized(ExecBackend::Threads, Some(TelemetryHub::new(3, 1)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "hub/config worker mismatch")]
+    fn async_rejects_a_hub_with_the_wrong_worker_count() {
+        // One slot per task, not per shard: a shard-sized hub is wrong.
+        start_sized(ASYNC, Some(TelemetryHub::new(1, 1)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "hub/config queue mismatch")]
+    fn threads_reject_a_hub_with_the_wrong_queue_count() {
+        start_sized(ExecBackend::Threads, Some(TelemetryHub::new(2, 2)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "hub/config queue mismatch")]
+    fn async_rejects_a_hub_with_the_wrong_queue_count() {
+        start_sized(ASYNC, Some(TelemetryHub::new(2, 2)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace hub has 1 recorder slots; the threads backend records into 2")]
+    fn threads_reject_a_trace_hub_with_too_few_recorders() {
+        let trace = Arc::new(TraceHub::new(1, 64));
+        start_sized(
+            ExecBackend::Threads,
+            Some(TelemetryHub::new(2, 1)),
+            Some(trace),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trace hub has 1 recorder slots; the async backend records into 2")]
+    fn async_rejects_a_trace_hub_with_too_few_recorders() {
+        let trace = Arc::new(TraceHub::new(1, 64));
+        start_sized(ASYNC, Some(TelemetryHub::new(2, 1)), Some(trace));
+    }
+
+    #[test]
+    #[should_panic(expected = "a trace hub needs a telemetry hub")]
+    fn a_trace_hub_without_a_telemetry_hub_is_rejected() {
+        start_sized(
+            ExecBackend::Threads,
+            None,
+            Some(Arc::new(TraceHub::new(2, 64))),
+        );
+    }
+
+    #[test]
+    fn recorder_slots_follow_the_backend() {
+        let cfg = MetronomeConfig {
+            m_threads: 3,
+            ..MetronomeConfig::default()
+        };
+        let spec = DisciplineSpec::Metronome;
+        assert_eq!(ExecBackend::Threads.trace_recorders(&cfg, &spec), 3);
+        assert_eq!(ASYNC.trace_recorders(&cfg, &spec), 2);
+        // Shards clamp to [1, worker count].
+        let many = ExecBackend::Async { shards: 8 };
+        assert_eq!(many.trace_recorders(&cfg, &spec), 3);
+        assert_eq!(
+            ExecBackend::Async { shards: 0 }.trace_recorders(&cfg, &spec),
+            1
+        );
     }
 }

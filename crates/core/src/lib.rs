@@ -33,12 +33,11 @@
 //!   short spin tail) standing in for the paper's `hr_sleep()` kernel
 //!   service;
 //! * [`executor`] — the async backend: the same disciplines as
-//!   cooperative tasks on a vruntime-weighted sharded executor
-//!   ([`executor::AsyncMetronome`]) with a hierarchical
-//!   [`executor::TimerWheel`] and waker-wired doorbells, so 1000+
-//!   queues run on a handful of OS threads
-//!   ([`executor::ExecBackend`] / [`executor::WorkerSet`] select the
-//!   backend at runtime);
+//!   cooperative tasks on a vruntime-weighted sharded executor with a
+//!   hierarchical [`executor::TimerWheel`] and waker-wired doorbells, so
+//!   1000+ queues run on a handful of OS threads. Its
+//!   [`executor::WorkerSet::start`] is the one way to start retrieval
+//!   workers, on the backend an [`executor::WorkerSpec`] names;
 //! * [`config`] — tunables with the paper's evaluation defaults
 //!   (`M = 3`, `V̄ = 10 µs`, `TL = 500 µs`, burst 32).
 //!
@@ -49,13 +48,14 @@
 //! ## Quick start (real threads)
 //!
 //! ```
-//! use metronome_core::{config::MetronomeConfig, realtime::Metronome};
+//! use metronome_core::{WorkerSet, WorkerSpec};
 //! use crossbeam::queue::ArrayQueue;
 //! use std::sync::Arc;
 //!
 //! let queues = vec![Arc::new(ArrayQueue::<u64>::new(1024))];
-//! let m = Metronome::start(MetronomeConfig::default(), queues.clone(), |_q, item| {
-//!     let _ = item; // process the packet
+//! // M = 3 threads race over one queue (the paper's defaults).
+//! let m = WorkerSet::start(WorkerSpec::default(), queues.clone(), |_worker| {
+//!     |_q: usize, burst: &mut Vec<u64>| burst.clear() // process the packets
 //! });
 //! queues[0].push(42).unwrap();
 //! std::thread::sleep(std::time::Duration::from_millis(50));
@@ -85,8 +85,8 @@ pub use discipline::{
     MetronomeDiscipline, ModerationConfig, ParkToken, RetrievalDiscipline, Verdict,
 };
 pub use engine::{Backend, EngineOp, MetronomeEngine, StepCosts};
-pub use executor::{AsyncMetronome, ExecBackend, TimerWheel, WorkerSet};
+pub use executor::{ExecBackend, TimerWheel, WorkerSet, WorkerSpec};
 pub use policy::{Role, ThreadPolicy};
-pub use realtime::{Metronome, PreciseSleeper, RealtimeBackend, RealtimeHarness, RealtimeStats};
+pub use realtime::{PreciseSleeper, RealtimeBackend, RealtimeHarness, RealtimeStats};
 pub use rxqueue::RxQueue;
 pub use trylock::TryLock;

@@ -1,12 +1,13 @@
 //! Real-thread packet retrieval: the paper's Listing 2 — and its
 //! comparative baselines — on actual OS threads.
 //!
-//! This module is the adoptable library surface: it runs a
-//! [`RetrievalDiscipline`] worker set (by default the shared
+//! This module is the thread backend of
+//! [`WorkerSet::start`](crate::executor::WorkerSet::start): it runs a
+//! [`RetrievalDiscipline`] worker set (the shared
 //! [`crate::engine::MetronomeEngine`]: trylock racing, primary/backup
-//! timeouts, adaptive `TS`; via [`Metronome::start_discipline`] also the
-//! BusyPoll / InterruptLike / ConstSleep baselines) with `std::thread`
-//! workers against in-process lock-free queues. Each worker owns a
+//! timeouts, adaptive `TS`; or the BusyPoll / InterruptLike / ConstSleep
+//! baselines) with `std::thread` workers against in-process lock-free
+//! queues. Each worker owns a
 //! [`RealtimeBackend`] that realizes the engine's [`Backend`]
 //! capabilities with real primitives:
 //!
@@ -30,22 +31,21 @@
 
 use crate::config::MetronomeConfig;
 use crate::controller::AdaptiveController;
-use crate::discipline::{DisciplineSpec, Doorbell, RetrievalDiscipline, Verdict};
+use crate::discipline::{Doorbell, RetrievalDiscipline, Verdict};
 use crate::engine::Backend;
 use crate::policy::ThreadPolicy;
 use crate::rxqueue::RxQueue;
 use crate::trylock::TryLock;
 use crossbeam::queue::ArrayQueue;
 use metronome_sim::Nanos;
-use metronome_telemetry::{
-    NullSink, NullTrace, TelemetryHub, TelemetrySink, TraceHub, TraceSink, TraceVerdict, TracedSink,
-};
+use metronome_telemetry::{TelemetrySink, TraceSink, TraceVerdict, TracedSink};
 use parking_lot::Mutex;
 use std::cell::OnceCell;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a parked worker waits on its doorbell before re-checking the
@@ -198,40 +198,8 @@ impl RealtimeStats {
     }
 }
 
-/// Assemble a [`RealtimeStats`] from joined per-worker policies (in
-/// worker order) and the shared state's final counters. Shared by the
-/// thread backend's [`Metronome::stop`] and the async executor's stop so
-/// the two backends report through one code path.
-pub(crate) fn collect_stats(
-    shared: &SharedState,
-    n_queues: usize,
-    policies: Vec<ThreadPolicy>,
-) -> RealtimeStats {
-    let mut stats = RealtimeStats::default();
-    for policy in policies {
-        stats.wakes.push(policy.wakes);
-        stats.races_won.push(policy.races_won);
-        stats.races_lost.push(policy.races_lost);
-    }
-    // Counters are read only after every worker joined: a worker that
-    // was mid-turn when the flag rose finishes its drain first, and
-    // those packets must be on the books (the realtime runner asserts
-    // offered = processed + dropped against these).
-    stats.processed = (0..n_queues)
-        .map(|q| shared.processed[q].load(Ordering::Relaxed))
-        .collect();
-    let ctrl = shared.controller.lock();
-    for q in 0..n_queues {
-        stats.rho.push(ctrl.rho(q));
-        stats.ts.push(ctrl.ts(q));
-    }
-    stats.controller = Some(ctrl.clone());
-    stats
-}
-
-/// State shared by every worker of one [`Metronome`] instance (or one
-/// async-executor worker set — `crate::executor` builds the same state,
-/// which is what keeps the two backends' accounting identical).
+/// State shared by every worker of one worker set, on either backend —
+/// which is what keeps the two backends' accounting identical.
 pub(crate) struct SharedState {
     pub(crate) controller: Mutex<AdaptiveController>,
     locks: Vec<TryLock>,
@@ -399,7 +367,7 @@ where
 /// A single-threaded harness over the realtime backend components.
 ///
 /// Spawns no threads: it builds the same `SharedState` a running
-/// [`Metronome`] uses and hands out per-worker [`RealtimeBackend`]s that a
+/// [`WorkerSet`](crate::executor::WorkerSet) uses and hands out per-worker [`RealtimeBackend`]s that a
 /// test can drive step by step. This is what the sim-vs-realtime parity
 /// test uses to execute both backends under one deterministic schedule.
 pub struct RealtimeHarness<T: Send + 'static, F, Q: RxQueue<T> = Arc<ArrayQueue<T>>> {
@@ -456,278 +424,28 @@ where
     }
 }
 
-/// A running real-thread Metronome instance over queues of `T`.
-pub struct Metronome<T: Send + 'static, Q: RxQueue<T> = Arc<ArrayQueue<T>>> {
-    queues: Vec<Q>,
+/// Spawn one retrieval worker thread: [`run_worker`] at the default
+/// [`PreciseSleeper`] until `stop` is raised. The thread backend of
+/// [`WorkerSet::start`](crate::executor::WorkerSet::start).
+pub(crate) fn spawn_worker<B, D, S, R>(
+    name: String,
+    discipline: D,
+    backend: B,
+    sink: S,
+    tracer: R,
     stop: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<ThreadPolicy>>,
-    shared: Arc<SharedState>,
-    cfg: MetronomeConfig,
-    _item: PhantomData<fn() -> T>,
-}
-
-impl<T: Send + 'static, Q: RxQueue<T>> Metronome<T, Q> {
-    /// Start `cfg.m_threads` workers over the given queues, processing
-    /// each item with `process`. Queues must match `cfg.n_queues`.
-    pub fn start<F>(cfg: MetronomeConfig, queues: Vec<Q>, process: F) -> Self
-    where
-        F: Fn(usize, &mut Vec<T>) + Send + Sync + 'static,
-    {
-        Self::start_discipline(cfg, DisciplineSpec::Metronome, queues, process)
-    }
-
-    /// [`Metronome::start`] with telemetry: every worker publishes wakes,
-    /// busy/sleep time, drained bursts and `TS` updates into `hub`
-    /// (relaxed-atomic increments at protocol grain — the hot path takes
-    /// no lock and allocates nothing for telemetry). The hub must have
-    /// `cfg.m_threads` worker slots and `cfg.n_queues` queue slots.
-    pub fn start_with_telemetry<F>(
-        cfg: MetronomeConfig,
-        queues: Vec<Q>,
-        process: F,
-        hub: &Arc<TelemetryHub>,
-    ) -> Self
-    where
-        F: Fn(usize, &mut Vec<T>) + Send + Sync + 'static,
-    {
-        Self::start_discipline_with_telemetry(cfg, DisciplineSpec::Metronome, queues, process, hub)
-    }
-
-    /// Start a worker set running an arbitrary retrieval discipline over
-    /// the queues: `cfg.m_threads` racing workers for
-    /// [`DisciplineSpec::Metronome`], one pinned worker per queue for the
-    /// BusyPoll / InterruptLike / ConstSleep baselines (which ignore the
-    /// trylock layer entirely — classic DPDK and XDP have no queue race).
-    ///
-    /// One `process` closure is shared by every worker. When workers need
-    /// per-thread state (a mempool cache, a flow-table shard), use
-    /// [`Metronome::start_discipline_scoped`] instead.
-    pub fn start_discipline<F>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        process: F,
-    ) -> Self
-    where
-        F: Fn(usize, &mut Vec<T>) + Send + Sync + 'static,
-    {
-        let process = Arc::new(process);
-        Self::start_discipline_scoped(cfg, spec, queues, move |_worker| {
-            let process = Arc::clone(&process);
-            move |q: usize, burst: &mut Vec<T>| process(q, burst)
-        })
-    }
-
-    /// [`Metronome::start_discipline`] with telemetry. The hub must have
-    /// one worker slot per spawned worker (`spec.workers(...)`) and
-    /// `cfg.n_queues` queue slots.
-    pub fn start_discipline_with_telemetry<F>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        process: F,
-        hub: &Arc<TelemetryHub>,
-    ) -> Self
-    where
-        F: Fn(usize, &mut Vec<T>) + Send + Sync + 'static,
-    {
-        let process = Arc::new(process);
-        Self::start_discipline_scoped_with_telemetry(
-            cfg,
-            spec,
-            queues,
-            move |_worker| {
-                let process = Arc::clone(&process);
-                move |q: usize, burst: &mut Vec<T>| process(q, burst)
-            },
-            hub,
-        )
-    }
-
-    /// [`Metronome::start_discipline`] with a *per-worker* process
-    /// factory: `make_process(worker)` is called once per spawned worker
-    /// and the returned `FnMut` closure is moved onto that worker's
-    /// thread. This is how per-thread state rides into the hot path with
-    /// no synchronization — e.g. each worker owning its own mempool cache
-    /// for lock-free buffer recycling.
-    pub fn start_discipline_scoped<P>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-    {
-        Self::start_with_sinks(
-            cfg,
-            spec,
-            queues,
-            make_process,
-            |_worker| NullSink,
-            |_| NullTrace,
-        )
-    }
-
-    /// [`Metronome::start_discipline_scoped`] with telemetry. The hub
-    /// must have one worker slot per spawned worker (`spec.workers(...)`)
-    /// and `cfg.n_queues` queue slots.
-    pub fn start_discipline_scoped_with_telemetry<P>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-        hub: &Arc<TelemetryHub>,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-    {
-        assert_eq!(
-            hub.n_workers(),
-            spec.workers(cfg.m_threads, cfg.n_queues),
-            "hub/config worker mismatch"
-        );
-        assert_eq!(hub.n_queues(), cfg.n_queues, "hub/config queue mismatch");
-        let hub = Arc::clone(hub);
-        Self::start_with_sinks(
-            cfg,
-            spec,
-            queues,
-            make_process,
-            move |worker| hub.worker_sink(worker),
-            |_| NullTrace,
-        )
-    }
-
-    /// [`Metronome::start_discipline_scoped_with_telemetry`] with
-    /// flight-recorder tracing: each worker additionally records compact
-    /// binary events (turn verdicts, sleep precision, park/unpark,
-    /// drained bursts) into its own lock-free ring inside `trace`, plus
-    /// wake-latency and oversleep histograms. The trace hub must have at
-    /// least one recorder slot per spawned worker; slots beyond the
-    /// worker count stay empty (callers may reserve extras for
-    /// control-plane markers).
-    pub fn start_discipline_scoped_traced<P>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-        hub: &Arc<TelemetryHub>,
-        trace: &Arc<TraceHub>,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-    {
-        let workers = spec.workers(cfg.m_threads, cfg.n_queues);
-        assert_eq!(hub.n_workers(), workers, "hub/config worker mismatch");
-        assert_eq!(hub.n_queues(), cfg.n_queues, "hub/config queue mismatch");
-        assert!(
-            trace.n_recorders() >= workers,
-            "trace hub has {} recorder slots for {workers} workers",
-            trace.n_recorders()
-        );
-        let hub = Arc::clone(hub);
-        let trace = Arc::clone(trace);
-        Self::start_with_sinks(
-            cfg,
-            spec,
-            queues,
-            make_process,
-            move |worker| hub.worker_sink(worker),
-            move |worker| trace.recorder(worker),
-        )
-    }
-
-    /// Shared spawn path: `make_process` builds each worker's owned
-    /// process closure, `make_sink` its telemetry view ([`NullSink`] when
-    /// telemetry is off, so the plain-`start` worker monomorphizes to the
-    /// pre-telemetry loop) and `make_tracer` its flight-recorder view
-    /// ([`NullTrace`] when tracing is off — the untraced worker
-    /// monomorphizes to a loop with zero record-path cost).
-    fn start_with_sinks<P, S, R>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        mut make_process: impl FnMut(usize) -> P,
-        make_sink: impl Fn(usize) -> S,
-        make_tracer: impl Fn(usize) -> R,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-        S: TelemetrySink + Send + 'static,
-        R: TraceSink + Send + 'static,
-    {
-        cfg.validate().expect("invalid Metronome configuration");
-        assert_eq!(queues.len(), cfg.n_queues, "queue count mismatch");
-        let shared = SharedState::new(&cfg);
-        let stop = Arc::new(AtomicBool::new(false));
-        let sleeper = PreciseSleeper::default();
-        let label = spec.kind().label();
-        let mut handles = Vec::new();
-        for worker in 0..spec.workers(cfg.m_threads, cfg.n_queues) {
-            // The same RealtimeBackend the single-threaded harness hands
-            // out (the parity test drives exactly this substrate), with
-            // this worker's own process closure moved onto its thread.
-            let backend =
-                RealtimeBackend::new(queues.clone(), Arc::clone(&shared), make_process(worker));
-            let stop = Arc::clone(&stop);
-            let sink = make_sink(worker);
-            let tracer = make_tracer(worker);
-            let discipline = spec.build(worker, cfg.n_queues, cfg.burst, &shared.doorbells);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("{label}-{worker}"))
-                    .spawn(move || run_worker(discipline, backend, sleeper, sink, tracer, &stop))
-                    .expect("spawn retrieval worker"),
-            );
-        }
-        Metronome {
-            queues,
-            stop,
-            handles,
-            shared,
-            cfg,
-            _item: PhantomData,
-        }
-    }
-
-    /// The Rx queues (for producers to push into).
-    pub fn queues(&self) -> &[Q] {
-        &self.queues
-    }
-
-    /// Queue `q`'s wake-up doorbell. A producer feeding an InterruptLike
-    /// worker set must ring it after enqueuing (once per burst); for the
-    /// other disciplines ringing is harmless and ignored.
-    pub fn doorbell(&self, q: usize) -> &Arc<Doorbell> {
-        &self.shared.doorbells[q]
-    }
-
-    /// Items processed so far on a queue.
-    pub fn processed(&self, queue: usize) -> u64 {
-        self.shared.processed[queue].load(Ordering::Relaxed)
-    }
-
-    /// Current smoothed load estimate of a queue.
-    pub fn rho(&self, queue: usize) -> f64 {
-        self.shared.controller.lock().rho(queue)
-    }
-
-    /// Current adaptive TS of a queue.
-    pub fn ts(&self, queue: usize) -> Nanos {
-        self.shared.controller.lock().ts(queue)
-    }
-
-    /// Stop all workers and collect final statistics.
-    pub fn stop(self) -> RealtimeStats {
-        self.stop.store(true, Ordering::Relaxed);
-        let policies = self
-            .handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect();
-        collect_stats(&self.shared, self.cfg.n_queues, policies)
-    }
+) -> JoinHandle<ThreadPolicy>
+where
+    B: Backend + Send + 'static,
+    D: RetrievalDiscipline + Send + 'static,
+    S: TelemetrySink + Send + 'static,
+    R: TraceSink + Send + 'static,
+{
+    let sleeper = PreciseSleeper::default();
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || run_worker(discipline, backend, sleeper, sink, tracer, &stop))
+        .expect("spawn retrieval worker")
 }
 
 /// Drive one retrieval discipline with real sleeps, spins and doorbell
@@ -874,6 +592,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discipline::DisciplineSpec;
+    use crate::executor::{WorkerSet, WorkerSpec};
+    use metronome_telemetry::{TelemetryHub, TraceHub};
+
+    /// A thread-backend Metronome worker set for `cfg`.
+    fn threads(cfg: MetronomeConfig) -> WorkerSpec {
+        WorkerSpec {
+            cfg,
+            ..WorkerSpec::default()
+        }
+    }
 
     #[test]
     fn precise_sleeper_hits_deadline() {
@@ -948,10 +677,14 @@ mod tests {
         let m = {
             let seen = Arc::clone(&seen);
             let sum = Arc::clone(&sum);
-            Metronome::start(cfg, queues.clone(), move |_q, burst: &mut Vec<u64>| {
-                for item in burst.drain(..) {
-                    seen.fetch_add(1, Ordering::Relaxed);
-                    sum.fetch_add(item, Ordering::Relaxed);
+            WorkerSet::start(threads(cfg), queues.clone(), move |_| {
+                let seen = Arc::clone(&seen);
+                let sum = Arc::clone(&sum);
+                move |_q: usize, burst: &mut Vec<u64>| {
+                    for item in burst.drain(..) {
+                        seen.fetch_add(1, Ordering::Relaxed);
+                        sum.fetch_add(item, Ordering::Relaxed);
+                    }
                 }
             })
         };
@@ -992,7 +725,7 @@ mod tests {
         // its maximal (M·V̄ for single queue) value.
         let cfg = MetronomeConfig::default(); // M=3, N=1, V̄=10µs
         let queues = vec![Arc::new(ArrayQueue::<u64>::new(64))];
-        let m = Metronome::start(cfg.clone(), queues, |_q, _i| {});
+        let m = WorkerSet::start(threads(cfg), queues, |_| |_q: usize, _b: &mut Vec<u64>| {});
         std::thread::sleep(Duration::from_millis(300));
         let rho = m.rho(0);
         let ts = m.ts(0);
@@ -1020,12 +753,14 @@ mod tests {
             ..MetronomeConfig::default()
         };
         let queues = vec![Arc::new(ArrayQueue::<u64>::new(1024))];
-        let m = Metronome::start(cfg, queues.clone(), |_q, burst: &mut Vec<u64>| {
-            // 50 µs of spinning per item, so the final drain is long.
-            for _ in burst.drain(..) {
-                let t0 = Instant::now();
-                while t0.elapsed() < Duration::from_micros(50) {
-                    std::hint::spin_loop();
+        let m = WorkerSet::start(threads(cfg), queues.clone(), |_| {
+            |_q: usize, burst: &mut Vec<u64>| {
+                // 50 µs of spinning per item, so the final drain is long.
+                for _ in burst.drain(..) {
+                    let t0 = Instant::now();
+                    while t0.elapsed() < Duration::from_micros(50) {
+                        std::hint::spin_loop();
+                    }
                 }
             }
         });
@@ -1051,7 +786,7 @@ mod tests {
     fn stats_expose_race_outcomes() {
         let cfg = MetronomeConfig::default();
         let queues = vec![Arc::new(ArrayQueue::<u64>::new(64))];
-        let m = Metronome::start(cfg, queues, |_q, _i| {});
+        let m = WorkerSet::start(threads(cfg), queues, |_| |_q: usize, _b: &mut Vec<u64>| {});
         std::thread::sleep(Duration::from_millis(200));
         let stats = m.stop();
         let won: u64 = stats.races_won.iter().sum();
@@ -1071,14 +806,15 @@ mod tests {
         };
         let hub = TelemetryHub::new(2, 1);
         let queues = vec![Arc::new(ArrayQueue::<u64>::new(1024))];
-        let m = Metronome::start_with_telemetry(
-            cfg,
-            queues.clone(),
-            |_q, burst: &mut Vec<u64>| {
+        let spec = WorkerSpec {
+            hub: Some(Arc::clone(&hub)),
+            ..threads(cfg)
+        };
+        let m = WorkerSet::start(spec, queues.clone(), |_| {
+            |_q: usize, burst: &mut Vec<u64>| {
                 burst.drain(..);
-            },
-            &hub,
-        );
+            }
+        });
         let n = 2_000u64;
         for i in 0..n {
             let mut item = i;
@@ -1137,18 +873,16 @@ mod tests {
         let hub = TelemetryHub::new(2, 1);
         let trace = Arc::new(TraceHub::new(2, 4096));
         let queues = vec![Arc::new(ArrayQueue::<u64>::new(1024))];
-        let m = Metronome::start_discipline_scoped_traced(
-            cfg,
-            DisciplineSpec::Metronome,
-            queues.clone(),
-            |_worker| {
-                |_q: usize, burst: &mut Vec<u64>| {
-                    burst.drain(..);
-                }
-            },
-            &hub,
-            &trace,
-        );
+        let spec = WorkerSpec {
+            hub: Some(Arc::clone(&hub)),
+            trace: Some(Arc::clone(&trace)),
+            ..threads(cfg)
+        };
+        let m = WorkerSet::start(spec, queues.clone(), |_| {
+            |_q: usize, burst: &mut Vec<u64>| {
+                burst.drain(..);
+            }
+        });
         let n = 2_000u64;
         for i in 0..n {
             let mut item = i;
@@ -1209,14 +943,16 @@ mod tests {
         let seen = Arc::new(AtomicU64::new(0));
         let m = {
             let seen = Arc::clone(&seen);
-            Metronome::start_discipline(
-                cfg,
-                spec,
-                queues.clone(),
-                move |_q, burst: &mut Vec<u64>| {
+            let spec = WorkerSpec {
+                discipline: spec,
+                ..threads(cfg)
+            };
+            WorkerSet::start(spec, queues.clone(), move |_| {
+                let seen = Arc::clone(&seen);
+                move |_q: usize, burst: &mut Vec<u64>| {
                     seen.fetch_add(burst.drain(..).count() as u64, Ordering::Relaxed);
-                },
-            )
+                }
+            })
         };
         let n: u64 = 4_000;
         for i in 0..n {
@@ -1284,12 +1020,13 @@ mod tests {
             ..MetronomeConfig::default()
         };
         let queues = vec![Arc::new(ArrayQueue::<u64>::new(64))];
-        let m = Metronome::start_discipline(
-            cfg,
-            DisciplineSpec::InterruptLike(crate::discipline::ModerationConfig::default()),
-            queues,
-            |_q, _b: &mut Vec<u64>| {},
-        );
+        let spec = WorkerSpec {
+            discipline: DisciplineSpec::InterruptLike(
+                crate::discipline::ModerationConfig::default(),
+            ),
+            ..threads(cfg)
+        };
+        let m = WorkerSet::start(spec, queues, |_| |_q: usize, _b: &mut Vec<u64>| {});
         std::thread::sleep(Duration::from_millis(50));
         let t0 = Instant::now();
         let stats = m.stop();

@@ -36,7 +36,7 @@ use crate::protocol::{self, DisciplineChoice, ReconfigureSpec, Request, SubmitSp
 use bytes::BytesMut;
 use metronome_apps::processor::PacketProcessor;
 use metronome_core::discipline::{DisciplineSpec, Doorbell, ModerationConfig};
-use metronome_core::executor::WorkerSet;
+use metronome_core::executor::{WorkerSet, WorkerSpec};
 use metronome_core::realtime::lower_timer_slack;
 use metronome_core::{ExecBackend, MetronomeConfig};
 use metronome_dpdk::shared_ring::RingPath;
@@ -438,25 +438,14 @@ impl ServiceEngine {
                 }
             }
         };
-        let workers = match trace {
-            Some(trace) => WorkerSet::start_discipline_scoped_traced(
-                exec,
-                cfg,
-                spec.clone(),
-                consumers,
-                make_process,
-                &hub,
-                trace,
-            ),
-            None => WorkerSet::start_discipline_scoped_with_telemetry(
-                exec,
-                cfg,
-                spec.clone(),
-                consumers,
-                make_process,
-                &hub,
-            ),
+        let worker_spec = WorkerSpec {
+            exec,
+            cfg,
+            discipline: spec.clone(),
+            hub: Some(Arc::clone(&hub)),
+            trace: trace.cloned(),
         };
+        let workers = WorkerSet::start(worker_spec, consumers, make_process);
         for (q, slot) in bells.iter().enumerate() {
             *slot.lock() = match spec {
                 DisciplineSpec::InterruptLike(_) => Some(Arc::clone(workers.doorbell(q))),
@@ -532,12 +521,9 @@ impl ServiceEngine {
         );
         let stall = Arc::new(AtomicBool::new(false));
         let hub = self.hub_for(spec.discipline, &cfg, &disc_spec);
-        let trace = spec.trace.then(|| {
-            TraceArm::new(
-                WorkerSet::<Mbuf, WorkerRing>::trace_recorders(spec.exec, &cfg, disc_spec.clone()),
-                &spec.name,
-            )
-        });
+        let trace = spec
+            .trace
+            .then(|| TraceArm::new(spec.exec.trace_recorders(&cfg, &disc_spec), &spec.name));
         if let Some(trace) = &trace {
             // Stamp the armed fault plan into the recorder so a later
             // dump shows what was scheduled before what happened.
@@ -722,8 +708,7 @@ impl ServiceEngine {
             // history survive; the fresh workers take recorders over the
             // same slots) — unless the new shape needs more slots than
             // the hub has, in which case it is rebuilt larger.
-            let recorders =
-                WorkerSet::<Mbuf, WorkerRing>::trace_recorders(exec, &cfg, disc_spec.clone());
+            let recorders = exec.trace_recorders(&cfg, &disc_spec);
             if let Some(trace) = &run.trace {
                 if trace.worker_slots() < recorders {
                     run.trace = Some(TraceArm::new(recorders, &run.name));

@@ -11,14 +11,12 @@
 //!   exhaustion accounting: `Arc`-shared handles, atomic counters, and
 //!   burst alloc/free that take the freelist lock once per burst (the
 //!   per-lcore-cache amortization of `rte_mempool`).
-//! * [`ring::Ring`] — Rx descriptor rings with burst dequeue and tail-drop,
-//!   plus [`ring::RxRingModel`], the allocation-free occupancy model the
-//!   discrete-event simulator uses (property-tested to agree with `Ring`).
-//! * [`nic`] — framing math (64 B ⇒ 14.88 Mpps at 10 G), device profiles
-//!   (X520, XL710 with its 37 Mpps silicon cap) and an RSS-dispatching
-//!   functional [`nic::Port`].
-//! * [`ethdev::TxBuffer`] — Tx batching with the exact latency-vs-CPU
-//!   trade-off the paper measures when lowering the batch from 32 to 1.
+//! * [`ring::RxRingModel`] — the allocation-free Rx descriptor-ring
+//!   occupancy model the discrete-event simulator uses, property-tested
+//!   to agree with [`ring::Ring`], a functional ring with burst dequeue
+//!   and tail-drop.
+//! * [`nic`] — framing math (64 B ⇒ 14.88 Mpps at 10 G) and device
+//!   profiles (X520, XL710 with its 37 Mpps silicon cap).
 //! * [`random::RteRand`] — the lock-free shared PRNG backup threads use to
 //!   pick their next queue (paper Appendix II).
 //! * [`shared_ring`] — the concurrent Rx side for the real-thread
@@ -41,7 +39,6 @@
 // it alone carries `#![allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 
-pub mod ethdev;
 pub mod fastring;
 pub mod mbuf;
 pub mod mempool;
@@ -51,10 +48,9 @@ pub mod ring;
 pub mod scatter;
 pub mod shared_ring;
 
-pub use ethdev::TxBuffer;
 pub use mbuf::Mbuf;
 pub use mempool::{Mempool, MempoolCache, MempoolStats};
-pub use nic::{NicProfile, Port};
+pub use nic::NicProfile;
 pub use random::RteRand;
 pub use ring::{Ring, RxRingModel};
 pub use scatter::QueueScatter;

@@ -72,7 +72,7 @@ use crate::scenario::{Scenario, SystemKind};
 use metronome_apps::processor::PacketProcessor;
 use metronome_apps::{FloWatcher, IpsecGateway, L3Fwd};
 use metronome_core::discipline::{DisciplineSpec, ModerationConfig};
-use metronome_core::executor::WorkerSet;
+use metronome_core::executor::{WorkerSet, WorkerSpec};
 use metronome_core::rxqueue::RxQueue;
 use metronome_core::{AdaptiveController, MetronomeConfig};
 use metronome_dpdk::{Mbuf, Mempool, QueueScatter, RingConsumer, RingPath, RssPort};
@@ -386,7 +386,7 @@ pub fn try_run_realtime_with(
     // pays nothing on the record path.
     let trace_hub: Option<Arc<TraceHub>> = match (&dispatch, sc.trace) {
         (Some((cfg, spec)), true) => Some(Arc::new(TraceHub::labeled(
-            WorkerSet::<Mbuf, WorkerRing>::trace_recorders(sc.exec, cfg, spec.clone()),
+            sc.exec.trace_recorders(cfg, spec),
             DEFAULT_RING_CAPACITY,
             sc.system.label(),
         ))),
@@ -428,25 +428,14 @@ pub fn try_run_realtime_with(
             }
         };
         let consumers: Vec<WorkerRing> = port.consumers().into_iter().map(WorkerRing).collect();
-        let worker_set = match &trace_hub {
-            Some(trace) => WorkerSet::start_discipline_scoped_traced(
-                sc.exec,
-                cfg,
-                spec.clone(),
-                consumers,
-                make_process,
-                &hub,
-                trace,
-            ),
-            None => WorkerSet::start_discipline_scoped_with_telemetry(
-                sc.exec,
-                cfg,
-                spec.clone(),
-                consumers,
-                make_process,
-                &hub,
-            ),
+        let worker_spec = WorkerSpec {
+            exec: sc.exec,
+            cfg,
+            discipline: spec.clone(),
+            hub: Some(Arc::clone(&hub)),
+            trace: trace_hub.clone(),
         };
+        let worker_set = WorkerSet::start(worker_spec, consumers, make_process);
         // Interrupt-driven workers park on per-queue doorbells; arm the
         // RSS port's producer-side hook so every accepted burst rings the
         // queue's bell (the "raise the IRQ" edge). The hook is installed

@@ -11,7 +11,7 @@
 //! ```
 
 use crossbeam::queue::ArrayQueue;
-use metronome_repro::core::{config::MetronomeConfig, realtime::Metronome};
+use metronome_repro::core::{WorkerSet, WorkerSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,13 +24,16 @@ fn main() {
     println!("Metronome quickstart: {pps} pps for {seconds} s, M = 3 threads, 1 queue");
 
     let queues = vec![Arc::new(ArrayQueue::<u64>::new(4096))];
-    let cfg = MetronomeConfig::default(); // M = 3, V̄ = 10 µs, TL = 500 µs
+    // Metronome on std::thread workers: M = 3, V̄ = 10 µs, TL = 500 µs.
+    let spec = WorkerSpec::default();
 
-    let m = Metronome::start(cfg, queues.clone(), |_queue, burst: &mut Vec<u64>| {
-        // A real application would forward/inspect the burst here (the
-        // worker hands over each drained burst in one call, DPDK-style).
-        for packet in burst.drain(..) {
-            std::hint::black_box(packet);
+    let m = WorkerSet::start(spec, queues.clone(), |_worker| {
+        |_queue: usize, burst: &mut Vec<u64>| {
+            // A real application would forward/inspect the burst here (the
+            // worker hands over each drained burst in one call, DPDK-style).
+            for packet in burst.drain(..) {
+                std::hint::black_box(packet);
+            }
         }
     });
 

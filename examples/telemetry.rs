@@ -11,7 +11,7 @@
 //! cargo run --release --example telemetry
 //! ```
 
-use metronome_repro::core::{config::MetronomeConfig, realtime::Metronome};
+use metronome_repro::core::{config::MetronomeConfig, WorkerSet, WorkerSpec};
 use metronome_repro::sim::Nanos;
 use metronome_repro::telemetry::{
     CounterSnapshot, CsvExporter, Exporter, JsonExporter, PrometheusExporter, Sampler, TelemetryHub,
@@ -32,14 +32,16 @@ fn main() {
     };
     let hub = TelemetryHub::new(cfg.m_threads, cfg.n_queues);
     let queues = vec![Arc::new(ArrayQueue::<u64>::new(4096))];
-    let metronome = Metronome::start_with_telemetry(
+    let spec = WorkerSpec {
         cfg,
-        queues.clone(),
-        |_q, burst: &mut Vec<u64>| {
+        hub: Some(Arc::clone(&hub)),
+        ..WorkerSpec::default()
+    };
+    let metronome = WorkerSet::start(spec, queues.clone(), |_worker| {
+        |_q: usize, burst: &mut Vec<u64>| {
             burst.drain(..);
-        },
-        &hub,
-    );
+        }
+    });
 
     println!("live series: one row per {WINDOW:?} window (load steps up at window 5)\n");
     println!(

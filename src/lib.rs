@@ -14,7 +14,7 @@
 //! * [`net`] — protocol substrate: headers, Toeplitz RSS, DIR-24-8 LPM,
 //!   exact match, AES-128-CBC + ESP.
 //! * [`dpdk`] — DPDK-like substrate: mbufs, mempools, descriptor rings,
-//!   NIC models (X520/XL710), Tx batching.
+//!   NIC models (X520/XL710).
 //! * [`os`] — OS model: CFS-like scheduler, hr_sleep/nanosleep, governors,
 //!   RAPL-style power.
 //! * [`traffic`] — MoonGen-like workloads: CBR (paced and bursty),
@@ -49,7 +49,7 @@
 //! assert!(report.cpu_total_pct < 100.0); // line rate on less than a core
 //! ```
 //!
-//! Real threads: see [`core::realtime::Metronome`] and
+//! Real threads: see [`core::WorkerSet::start`] and
 //! `examples/quickstart.rs`.
 
 #![warn(missing_docs)]

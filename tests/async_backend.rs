@@ -28,7 +28,7 @@ use metronome_repro::core::controller::AdaptiveController;
 use metronome_repro::core::discipline::{MetronomeDiscipline, RetrievalDiscipline, Verdict};
 use metronome_repro::core::engine::{Backend, EngineOp, MetronomeEngine, StepCosts};
 use metronome_repro::core::realtime::RealtimeHarness;
-use metronome_repro::core::{AsyncMetronome, DisciplineSpec, Role};
+use metronome_repro::core::{ExecBackend, Role, WorkerSet, WorkerSpec};
 use metronome_repro::runtime::{
     run_realtime, AppProfile, Scenario, SimQueue, TrafficSpec, World, WorldBackend,
 };
@@ -302,13 +302,14 @@ fn a_thousand_queues_conserve_on_two_shards() {
     for (q, queue) in queues.iter().enumerate() {
         push_all(queue, (0..PER_QUEUE).map(|i| q as u64 * PER_QUEUE + i));
     }
-    let m = AsyncMetronome::start_discipline_scoped(
+    let spec = WorkerSpec {
+        exec: ExecBackend::Async { shards: 2 },
         cfg,
-        DisciplineSpec::Metronome,
-        queues.clone(),
-        |_worker| |_q: usize, burst: &mut Vec<u64>| burst.clear(),
-        2,
-    );
+        ..WorkerSpec::default()
+    };
+    let m = WorkerSet::start(spec, queues.clone(), |_worker| {
+        |_q: usize, burst: &mut Vec<u64>| burst.clear()
+    });
     let offered = N as u64 * PER_QUEUE;
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {

@@ -6,11 +6,19 @@ mod common;
 
 use common::{push_all, serial};
 use crossbeam::queue::ArrayQueue;
-use metronome_repro::core::{config::MetronomeConfig, realtime::Metronome};
+use metronome_repro::core::{config::MetronomeConfig, WorkerSet, WorkerSpec};
 use metronome_repro::sim::Nanos;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A thread-backend Metronome worker set for `cfg`.
+fn threads(cfg: MetronomeConfig) -> WorkerSpec {
+    WorkerSpec {
+        cfg,
+        ..WorkerSpec::default()
+    }
+}
 
 #[test]
 fn multiqueue_processes_exactly_once() {
@@ -28,10 +36,14 @@ fn multiqueue_processes_exactly_once() {
     let m = {
         let count = Arc::clone(&count);
         let xor = Arc::clone(&xor);
-        Metronome::start(cfg, queues.clone(), move |_q, burst: &mut Vec<u64>| {
-            for item in burst.drain(..) {
-                count.fetch_add(1, Ordering::Relaxed);
-                xor.fetch_xor(item, Ordering::Relaxed);
+        WorkerSet::start(threads(cfg), queues.clone(), move |_| {
+            let count = Arc::clone(&count);
+            let xor = Arc::clone(&xor);
+            move |_q: usize, burst: &mut Vec<u64>| {
+                for item in burst.drain(..) {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    xor.fetch_xor(item, Ordering::Relaxed);
+                }
             }
         })
     };
@@ -76,13 +88,15 @@ fn rho_tracks_offered_load_up_and_down() {
         ..MetronomeConfig::default()
     };
     let queues = vec![Arc::new(ArrayQueue::<u64>::new(8192))];
-    let m = Metronome::start(cfg, queues.clone(), |_q, burst: &mut Vec<u64>| {
-        for item in burst.drain(..) {
-            let t = Instant::now();
-            while t.elapsed() < Duration::from_micros(20) {
-                std::hint::spin_loop();
+    let m = WorkerSet::start(threads(cfg), queues.clone(), |_| {
+        |_q: usize, burst: &mut Vec<u64>| {
+            for item in burst.drain(..) {
+                let t = Instant::now();
+                while t.elapsed() < Duration::from_micros(20) {
+                    std::hint::spin_loop();
+                }
+                std::hint::black_box(item);
             }
-            std::hint::black_box(item);
         }
     });
     let sleeper = metronome_repro::core::PreciseSleeper::default();
@@ -143,7 +157,9 @@ fn stop_is_clean_under_load() {
     let queues: Vec<_> = (0..2)
         .map(|_| Arc::new(ArrayQueue::<u64>::new(1024)))
         .collect();
-    let m = Metronome::start(cfg, queues.clone(), |_q, _i| {});
+    let m = WorkerSet::start(threads(cfg), queues.clone(), |_| {
+        |_q: usize, _b: &mut Vec<u64>| {}
+    });
     for q in &queues {
         push_all(q, 0..512);
     }
