@@ -12,10 +12,11 @@
 //! * a **run queue** ordered by accumulated virtual runtime (the CFS
 //!   idea: the task that has consumed the least weighted CPU runs next,
 //!   so a saturated drain cannot starve its shard-mates);
-//! * a **hierarchical [`TimerWheel`]** absorbing every `Verdict::Sleep` /
+//! * a **deadline min-heap** absorbing every `Verdict::Sleep` /
 //!   `Verdict::Wait` deadline — thousands of concurrent `r_sleep` timers
-//!   become one coalesced deadline store per shard instead of one parked
-//!   OS thread each;
+//!   become one deadline store per shard instead of one parked OS thread
+//!   each, and every timer fires at its own nanosecond deadline, as
+//!   `PreciseSleeper` wakes a thread worker;
 //! * an **injector** that [`std::task::Waker`]s push woken tasks through:
 //!   a `Verdict::Park` registers the task's waker on its queue's
 //!   [`Doorbell`] (via the same lost-wakeup-safe arming protocol the
@@ -29,8 +30,8 @@
 //! |--------------|-----------------------------|-----------------------------------|
 //! | `Continue`   | loop again                  | same slice until the turn budget  |
 //! | `Yield`      | stop-check + `spin_loop`    | requeue by vruntime               |
-//! | `Sleep(d)`   | `PreciseSleeper::sleep(d)`  | timer-wheel entry, oversleep kept |
-//! | `Wait(d)`    | precise sleep, no oversleep | timer-wheel entry                 |
+//! | `Sleep(d)`   | `PreciseSleeper::sleep(d)`  | deadline timer, oversleep kept    |
+//! | `Wait(d)`    | precise sleep, no oversleep | deadline timer                    |
 //! | `Park(tok)`  | condvar wait on the bell    | waker registered on the bell      |
 //!
 //! Accounting is shared wholesale: tasks run over the identical
@@ -42,10 +43,6 @@
 //!
 //! [`WorkerSet::start`] is the one way to start retrieval workers on
 //! either backend; [`WorkerSpec`] says which.
-
-mod wheel;
-
-pub use wheel::{TimerEntry, TimerWheel};
 
 use crate::config::MetronomeConfig;
 use crate::discipline::{DisciplineSpec, Doorbell, ParkToken, RetrievalDiscipline, Verdict};
@@ -66,18 +63,14 @@ use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Wheel tick: ≈16 µs coalescing grain, fine enough that Metronome's
-/// adaptive `TS` (tens of µs and up) keeps µs-class resolution.
-const TICK_NS: u64 = 16_384;
-
 /// Consecutive `Verdict::Continue` turns a task may run before it is
 /// requeued (64 turns × a 32-packet burst ≈ 2k packets per slice): the
 /// preemption grain that keeps one saturated queue from starving its
 /// shard-mates.
 const TURN_BUDGET: u32 = 64;
 
-/// Upper bound on one idle block (bounds wheel catch-up work and stop
-/// latency even if a notification is somehow missed).
+/// Upper bound on one idle block (bounds stop latency even if a
+/// notification is somehow missed).
 const MAX_IDLE_WAIT: Duration = Duration::from_millis(20);
 
 /// Defensive re-poll cadence for parked tasks. The waker protocol is
@@ -185,6 +178,63 @@ impl Wake for TaskWaker {
 }
 
 // ---------------------------------------------------------------------------
+// Timers: the shard's deadline store
+// ---------------------------------------------------------------------------
+
+/// An armed timer: which task to wake and the generation it was armed
+/// under. A fired entry whose generation no longer matches the task's
+/// current one is a cancelled timer and must be ignored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct TimerEntry {
+    /// Shard-local index of the task to wake.
+    task: usize,
+    /// The task's arming generation when this timer was armed.
+    gen: u64,
+}
+
+/// One shard's armed timers: a min-heap of exact deadlines (nanoseconds
+/// on the shard's clock). Every timer fires at its own deadline, never
+/// rounded to a coarser grain: Metronome's `TS` is computed so that the
+/// mean vacation hits its target, which only holds on a precise sleep.
+///
+/// Cancellation is by *generation*: the executor bumps a task's
+/// generation when a doorbell wake (or a new sleep) obsoletes a pending
+/// timer. Stale entries still surface from [`Timers::expire`] and the
+/// caller discards them by generation — O(1) cancel with no search.
+///
+/// Clock-free: callers pass `now` explicitly, so the store is
+/// unit-testable without real time.
+#[derive(Debug, Default)]
+struct Timers {
+    heap: BinaryHeap<Reverse<(u64, TimerEntry)>>,
+}
+
+impl Timers {
+    /// Arm a timer firing at `deadline_ns`.
+    fn arm(&mut self, deadline_ns: u64, entry: TimerEntry) {
+        self.heap.push(Reverse((deadline_ns, entry)));
+    }
+
+    /// The earliest armed deadline (stale entries included) — what the
+    /// shard's idle wait sleeps toward.
+    fn next_deadline(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((deadline, _))| *deadline)
+    }
+
+    /// Pop every entry whose deadline is at or before `now_ns`, earliest
+    /// first, and hand it to `fire`.
+    fn expire(&mut self, now_ns: u64, mut fire: impl FnMut(TimerEntry)) {
+        while let Some(&Reverse((deadline, entry))) = self.heap.peek() {
+            if deadline > now_ns {
+                break;
+            }
+            self.heap.pop();
+            fire(entry);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Tasks and the shard loop
 // ---------------------------------------------------------------------------
 
@@ -192,7 +242,7 @@ impl Wake for TaskWaker {
 enum RunState {
     /// In the run queue (or currently running).
     Runnable,
-    /// Waiting on a timer-wheel deadline (`Sleep`/`Wait`).
+    /// Waiting on a timer deadline (`Sleep`/`Wait`).
     Sleeping,
     /// Waker registered on a doorbell (`Park`); fallback timer armed.
     Parked,
@@ -240,7 +290,7 @@ where
 {
     /// Close the current idle period: record the slept span and, for
     /// oversleep-bearing sleeps, how far past the requested deadline the
-    /// task actually woke (the wheel-tick quantization shows up here,
+    /// task actually woke (the shard's wake imprecision shows up here,
     /// exactly as `PreciseSleeper` imprecision does on the thread path).
     ///
     /// The tracer sees the same values the sink does: a timed sleep
@@ -344,8 +394,8 @@ where
 /// The shard owns one `tracer` (its flight-recorder ring slot): besides
 /// the per-slice events [`run_slice`] records, the loop itself records
 /// doorbell unparks, vruntime picks with their scheduler delay,
-/// wake-to-first-poll latencies, and every timer-wheel insert, cascade
-/// batch, and fire (live or cancelled).
+/// wake-to-first-poll latencies, and every timer arm and fire (live or
+/// cancelled).
 fn run_shard<T, P, Q, S, R>(
     mut tasks: Vec<Task<T, P, Q, S>>,
     injector: Arc<Injector>,
@@ -360,14 +410,13 @@ where
     R: TraceSink,
 {
     let epoch = Instant::now();
-    let mut wheel = TimerWheel::new(TICK_NS);
+    let mut timers = Timers::default();
     // Min-heap on (vruntime, local index): the least-served task runs
     // next. A task is in the heap iff its state is Runnable and it is
     // not currently running.
     let mut run_queue: BinaryHeap<Reverse<(u64, usize)>> =
         (0..tasks.len()).map(|idx| Reverse((0u64, idx))).collect();
     let mut woken: Vec<usize> = Vec::new();
-    let mut expired: Vec<TimerEntry> = Vec::new();
 
     while !stop.load(Ordering::Relaxed) {
         // 1. Doorbell wakes: parked tasks whose waker fired become
@@ -384,22 +433,13 @@ where
                 run_queue.push(Reverse((task.vruntime, idx)));
             }
         }
-        // 2. Timer expiries (coalesced: every deadline in a tick fires in
-        //    one advance).
-        let cascaded_before = wheel.cascaded();
-        wheel.advance(epoch.elapsed().as_nanos() as u64, &mut |e| {
-            expired.push(e);
-        });
-        let cascaded = wheel.cascaded() - cascaded_before;
-        if cascaded > 0 {
-            tracer.wheel_cascade(cascaded);
-        }
-        for e in expired.drain(..) {
+        // 2. Timer expiries, each at its own deadline.
+        timers.expire(epoch.elapsed().as_nanos() as u64, |e| {
             let task = &mut tasks[e.task];
             let live = task.gen == e.gen && task.state != RunState::Runnable;
             tracer.wheel_fire(task.id, live);
             if !live {
-                continue; // cancelled on wake
+                return; // cancelled on wake
             }
             task.finish_idle(&tracer);
             // A fired park-fallback timer is a wake too: its next pick's
@@ -408,10 +448,10 @@ where
             task.state = RunState::Runnable;
             task.ready_at = Some(Instant::now());
             run_queue.push(Reverse((task.vruntime, e.task)));
-        }
+        });
         // 3. Run the least-served runnable task for one slice.
         let Some(Reverse((_, idx))) = run_queue.pop() else {
-            idle_wait(&wheel, &injector, &stop, epoch);
+            idle_wait(timers.next_deadline(), &injector, &stop, epoch);
             continue;
         };
         {
@@ -446,7 +486,7 @@ where
                     task.sleep_requested = Some(dur);
                     let deadline_ns = now_ns + dur.as_nanos();
                     tracer.wheel_insert(task.id, deadline_ns);
-                    wheel.insert(
+                    timers.arm(
                         deadline_ns,
                         TimerEntry {
                             task: idx,
@@ -466,7 +506,7 @@ where
                     tracer.park();
                     let deadline_ns = now_ns + PARK_RECHECK.as_nanos() as u64;
                     tracer.wheel_insert(task.id, deadline_ns);
-                    wheel.insert(
+                    timers.arm(
                         deadline_ns,
                         TimerEntry {
                             task: idx,
@@ -502,16 +542,16 @@ where
         .collect()
 }
 
-/// Empty run queue: block toward the next wheel deadline (or a bounded
+/// Empty run queue: block toward the next timer deadline (or a bounded
 /// default), spinning the final [`spin_tail`] for µs-class wake
 /// precision — the same policy, and the same 1 ns timer slack on the
 /// blocking wait, as [`PreciseSleeper`], at shard rather than worker
 /// grain.
 ///
 /// [`PreciseSleeper`]: crate::realtime::PreciseSleeper
-fn idle_wait(wheel: &TimerWheel, injector: &Injector, stop: &AtomicBool, epoch: Instant) {
+fn idle_wait(next_deadline: Option<u64>, injector: &Injector, stop: &AtomicBool, epoch: Instant) {
     let now_ns = epoch.elapsed().as_nanos() as u64;
-    match wheel.next_deadline_ns() {
+    match next_deadline {
         Some(d) if d <= now_ns => {} // due: return to expire it
         Some(d) => {
             let until = Duration::from_nanos(d - now_ns);
@@ -1014,9 +1054,107 @@ mod tests {
     }
 
     #[test]
-    fn const_sleep_wakes_through_the_timer_wheel() {
+    fn const_sleep_wakes_through_the_deadline_timers() {
         let stats = run_discipline_once(DisciplineSpec::ConstSleep(Nanos::from_micros(200)), false);
         assert!(stats.wakes.iter().sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn async_sleeps_wake_at_their_own_deadline() {
+        // Timers fire at their exact deadline, so an executor sleep is as
+        // precise as the shard's spin tail makes it: well under the ≈7 µs
+        // median a 16 µs timer grain adds by rounding each deadline up.
+        // The median, not the mean, so a test-harness neighbour preempting
+        // the shard for a few sleeps cannot decide the verdict.
+        let cfg = MetronomeConfig {
+            m_threads: 1,
+            n_queues: 1,
+            ..MetronomeConfig::default()
+        };
+        let hub = TelemetryHub::new(1, 1);
+        let trace = Arc::new(TraceHub::new(1, 64));
+        let spec = WorkerSpec {
+            discipline: DisciplineSpec::ConstSleep(Nanos::from_micros(40)),
+            hub: Some(Arc::clone(&hub)),
+            trace: Some(Arc::clone(&trace)),
+            ..on_shards(cfg, 1)
+        };
+        let queues = vec![Arc::new(ArrayQueue::<u64>::new(64))];
+        let m = WorkerSet::start(spec, queues, |_worker| |_q: usize, _b: &mut Vec<u64>| {});
+        std::thread::sleep(Duration::from_millis(50));
+        m.stop();
+        let sleeps = hub.worker(0).sleeps_fixed.load(Ordering::Relaxed);
+        let oversleep = trace.dump().oversleep();
+        assert_eq!(oversleep.count(), sleeps, "one oversleep sample per sleep");
+        assert!(sleeps > 20, "only {sleeps} sleeps in 50 ms");
+        let median = oversleep.median().expect("sleeps were recorded");
+        assert!(
+            median < 4_000,
+            "median oversleep {median} ns per 40 µs sleep (mean {:.0} ns)",
+            oversleep.mean()
+        );
+    }
+
+    #[test]
+    fn timers_never_fire_before_their_deadline() {
+        let mut t = Timers::default();
+        t.arm(5_000, TimerEntry { task: 0, gen: 0 });
+        let mut fired = Vec::new();
+        t.expire(4_999, |e| fired.push(e));
+        assert!(fired.is_empty(), "fired before the deadline");
+        assert_eq!(t.next_deadline(), Some(5_000));
+    }
+
+    #[test]
+    fn timers_fire_at_their_exact_deadline() {
+        // No tick grain: a deadline 1 ns past a round number fires at
+        // that nanosecond, not at the next boundary.
+        let mut t = Timers::default();
+        t.arm(16_385, TimerEntry { task: 3, gen: 7 });
+        let mut fired = Vec::new();
+        t.expire(16_384, |e| fired.push(e));
+        assert!(fired.is_empty());
+        t.expire(16_385, |e| fired.push(e));
+        assert_eq!(fired, vec![TimerEntry { task: 3, gen: 7 }]);
+        assert_eq!(t.next_deadline(), None);
+    }
+
+    #[test]
+    fn timers_fire_earliest_first() {
+        let mut t = Timers::default();
+        for (task, deadline) in [(0, 900), (1, 100), (2, 2_000), (3, 400)] {
+            t.arm(deadline, TimerEntry { task, gen: 0 });
+        }
+        let mut fired = Vec::new();
+        t.expire(1_000, |e| fired.push(e.task));
+        assert_eq!(fired, vec![1, 3, 0], "deadline order, later one left");
+        t.expire(u64::MAX, |e| fired.push(e.task));
+        assert_eq!(fired, vec![1, 3, 0, 2]);
+    }
+
+    #[test]
+    fn timers_surface_stale_generations_to_the_caller() {
+        // The executor's cancellation protocol: a doorbell wake bumps the
+        // task's generation, orphaning the armed fallback timer. The stale
+        // entry still pops out; the caller's generation check drops it.
+        let mut t = Timers::default();
+        t.arm(5_000, TimerEntry { task: 4, gen: 1 });
+        let mut fired = Vec::new();
+        t.expire(10_000, |e| fired.push(e));
+        assert_eq!(fired, vec![TimerEntry { task: 4, gen: 1 }]);
+        assert_eq!(t.next_deadline(), None, "the stale entry left the store");
+    }
+
+    #[test]
+    fn timers_next_deadline_is_the_minimum_armed() {
+        let mut t = Timers::default();
+        assert_eq!(t.next_deadline(), None);
+        t.arm(90_000, TimerEntry { task: 0, gen: 0 });
+        t.arm(7_000, TimerEntry { task: 1, gen: 0 });
+        t.arm(2_000_000, TimerEntry { task: 2, gen: 0 });
+        assert_eq!(t.next_deadline(), Some(7_000));
+        t.expire(10_000, |_| {});
+        assert_eq!(t.next_deadline(), Some(90_000));
     }
 
     #[test]
@@ -1105,7 +1243,7 @@ mod tests {
             );
         }
         // Scheduler introspection: slices bracket, vruntime picks carry
-        // their delay, and Metronome sleeps ride the timer wheel.
+        // their delay, and Metronome sleeps ride the shard's timers.
         assert!(dump.kind_count(TraceEventKind::SliceBegin) > 0);
         assert!(dump.kind_count(TraceEventKind::SliceEnd) > 0);
         assert!(dump.kind_count(TraceEventKind::SchedPick) > 0);

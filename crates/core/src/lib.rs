@@ -33,11 +33,11 @@
 //!   short spin tail) standing in for the paper's `hr_sleep()` kernel
 //!   service;
 //! * [`executor`] — the async backend: the same disciplines as
-//!   cooperative tasks on a vruntime-weighted sharded executor with a
-//!   hierarchical [`executor::TimerWheel`] and waker-wired doorbells, so
-//!   1000+ queues run on a handful of OS threads. Its
-//!   [`executor::WorkerSet::start`] is the one way to start retrieval
-//!   workers, on the backend an [`executor::WorkerSpec`] names;
+//!   cooperative tasks on a vruntime-weighted sharded executor with
+//!   exact-deadline timers and waker-wired doorbells, so 1000+ queues run
+//!   on a handful of OS threads. Its [`executor::WorkerSet::start`] is
+//!   the one way to start retrieval workers, on the backend an
+//!   [`executor::WorkerSpec`] names;
 //! * [`config`] — tunables with the paper's evaluation defaults
 //!   (`M = 3`, `V̄ = 10 µs`, `TL = 500 µs`, burst 32).
 //!
@@ -85,7 +85,7 @@ pub use discipline::{
     MetronomeDiscipline, ModerationConfig, ParkToken, RetrievalDiscipline, Verdict,
 };
 pub use engine::{Backend, EngineOp, MetronomeEngine, StepCosts};
-pub use executor::{ExecBackend, TimerWheel, WorkerSet, WorkerSpec};
+pub use executor::{ExecBackend, WorkerSet, WorkerSpec};
 pub use policy::{Role, ThreadPolicy};
 pub use realtime::{PreciseSleeper, RealtimeBackend, RealtimeHarness, RealtimeStats};
 pub use rxqueue::RxQueue;

@@ -8,7 +8,9 @@
 //! makes double-`shutdown` on one connection idempotent) and then hangs
 //! up.
 
+use crate::protocol;
 use crate::service::ServiceEngine;
+use metronome_telemetry::Json;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -23,6 +25,11 @@ const READ_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// How long an idle connection keeps being served after shutdown.
 const SHUTDOWN_LINGER: Duration = Duration::from_secs(1);
+
+/// Longest request line accepted, newline excluded. Every valid request
+/// is far shorter; the cap bounds what a client that never sends a
+/// newline can make a connection buffer.
+pub const MAX_LINE: usize = 64 * 1024;
 
 /// The control-socket server: owns the listening socket and its accept
 /// thread; removes the socket file when the accept loop exits.
@@ -84,6 +91,9 @@ impl ControlServer {
 /// Serve one connection until EOF, error, or post-shutdown linger
 /// expiry. One request line → one reply line, always — malformed input
 /// gets a typed error reply and the connection (and daemon) stay up.
+/// That covers a line that is not UTF-8 and one longer than
+/// [`MAX_LINE`]: the latter is answered as soon as it overflows, and the
+/// rest of it, through the next newline, is discarded unbuffered.
 fn serve_connection(stream: UnixStream, engine: &ServiceEngine) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let Ok(read_half) = stream.try_clone() else {
@@ -91,25 +101,37 @@ fn serve_connection(stream: UnixStream, engine: &ServiceEngine) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    // The request line so far. It survives read timeouts: bytes of a
+    // line that arrive in pieces are consumed as they come.
+    let mut line: Vec<u8> = Vec::new();
+    // Inside an overlong line that was already answered.
+    let mut discarding = false;
     let mut shutdown_seen: Option<Instant> = None;
     loop {
-        // `line` is NOT cleared on timeout: a read that timed out mid-line
-        // has already consumed the partial bytes, and the next read must
-        // append to them, not discard them.
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                if !line.trim().is_empty() {
-                    let reply = engine.dispatch(line.trim());
-                    if writer.write_all(reply.render().as_bytes()).is_err()
-                        || writer.write_all(b"\n").is_err()
-                        || writer.flush().is_err()
-                    {
-                        break;
+        let (reply, used, eof) = match reader.fill_buf() {
+            Ok([]) if discarding => (None, 0, true),
+            // A last line without a newline is still a request.
+            Ok([]) => (request_reply(&line, engine), 0, true),
+            Ok(buf) => {
+                let newline = buf.iter().position(|&b| b == b'\n');
+                let chunk = &buf[..newline.unwrap_or(buf.len())];
+                let mut reply = None;
+                if discarding {
+                    discarding = newline.is_none();
+                } else if line.len() + chunk.len() > MAX_LINE {
+                    line.clear();
+                    discarding = newline.is_none();
+                    reply = Some(protocol::err(format!(
+                        "request line longer than {MAX_LINE} bytes"
+                    )));
+                } else {
+                    line.extend_from_slice(chunk);
+                    if newline.is_some() {
+                        reply = request_reply(&line, engine);
+                        line.clear();
                     }
                 }
-                line.clear();
+                (reply, chunk.len() + newline.map_or(0, |_| 1), false)
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if engine.is_shutdown() {
@@ -118,8 +140,32 @@ fn serve_connection(stream: UnixStream, engine: &ServiceEngine) {
                         break;
                     }
                 }
+                continue;
             }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => break,
+        };
+        reader.consume(used);
+        if let Some(reply) = reply {
+            if writer.write_all(reply.render().as_bytes()).is_err()
+                || writer.write_all(b"\n").is_err()
+                || writer.flush().is_err()
+            {
+                break;
+            }
+        }
+        if eof {
+            break;
         }
     }
+}
+
+/// The reply to one complete request line (newline stripped); `None`
+/// for a blank line.
+fn request_reply(line: &[u8], engine: &ServiceEngine) -> Option<Json> {
+    let Ok(text) = std::str::from_utf8(line) else {
+        return Some(protocol::err("request line is not valid UTF-8"));
+    };
+    let text = text.trim();
+    (!text.is_empty()).then(|| engine.dispatch(text))
 }

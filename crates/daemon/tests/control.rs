@@ -2,8 +2,10 @@
 //! real `UnixListener`, real connections, real worker threads behind
 //! every reply.
 
-use metronome_daemon::{ControlServer, DaemonConfig, MetricsServer, ServiceEngine};
+use metronome_daemon::control::MAX_LINE;
+use metronome_daemon::{ControlServer, DaemonConfig, MetricsServer, Request, ServiceEngine};
 use metronome_telemetry::Json;
+use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -142,6 +144,112 @@ fn malformed_requests_get_typed_errors_and_daemon_stays_up() {
     let mut fresh = daemon.connect();
     assert_ok(&fresh.send(r#"{"cmd":"ping"}"#));
     daemon.finish();
+}
+
+impl Client {
+    /// Write raw bytes (no newline appended).
+    fn write_raw(&mut self, bytes: &[u8]) {
+        self.writer.write_all(bytes).unwrap();
+        self.writer.flush().unwrap();
+    }
+}
+
+fn error_message(reply: &Json) -> String {
+    assert_err(reply);
+    reply
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string()
+}
+
+#[test]
+fn overlong_request_line_gets_a_typed_error_and_connection_stays_up() {
+    let daemon = TestDaemon::start("overlong");
+    let mut c = daemon.connect();
+    // No newline yet: the reply must come once the cap is passed, not
+    // when (if ever) the client ends the line.
+    c.write_raw(&vec![b'x'; MAX_LINE + 1]);
+    let mut reply = String::new();
+    c.reader
+        .read_line(&mut reply)
+        .expect("reply before the newline");
+    let reply = Json::parse(reply.trim()).expect("reply is JSON");
+    assert!(
+        error_message(&reply).contains("longer than"),
+        "{}",
+        reply.render()
+    );
+    // The rest of the line, however long, is discarded without a second
+    // reply; the next request on the same connection is served.
+    c.write_raw(&vec![b'y'; 3 * MAX_LINE]);
+    c.write_raw(b"end of the overlong line\n");
+    assert_eq!(
+        c.send(r#"{"cmd":"ping"}"#)
+            .get("reply")
+            .and_then(Json::as_str),
+        Some("pong"),
+        "the discarded tail got a reply of its own"
+    );
+    // A line of exactly the cap is a request like any other.
+    let ping = r#"{"cmd":"ping"}"#;
+    let padded = format!("{ping}{}", " ".repeat(MAX_LINE - ping.len()));
+    assert_eq!(
+        c.send(&padded).get("reply").and_then(Json::as_str),
+        Some("pong")
+    );
+    daemon.finish();
+}
+
+#[test]
+fn non_utf8_request_gets_a_typed_error_and_connection_stays_up() {
+    let daemon = TestDaemon::start("non-utf8");
+    let mut c = daemon.connect();
+    c.write_raw(b"{\"cmd\":\"pi\xffng\"}\n");
+    let mut reply = String::new();
+    c.reader
+        .read_line(&mut reply)
+        .expect("a reply, not a hang-up");
+    let reply = Json::parse(reply.trim()).expect("reply is JSON");
+    assert!(
+        error_message(&reply).contains("UTF-8"),
+        "{}",
+        reply.render()
+    );
+    assert_eq!(
+        c.send(r#"{"cmd":"ping"}"#)
+            .get("reply")
+            .and_then(Json::as_str),
+        Some("pong")
+    );
+    daemon.finish();
+}
+
+/// A valid request that exercises the deeper parse paths (submit fields,
+/// a fault list) once arbitrary bytes are spliced into it.
+const REQUEST: &str = r#"{"cmd":"submit","name":"p","rate_pps":50000,"discipline":"metronome","m":2,"exec":"async","shards":2,"faults":[{"kind":"pool-starve","at_ms":1,"duration_ms":2,"fraction":0.5}]}"#;
+
+proptest! {
+    /// Whatever bytes arrive, decoded lossily, the parser returns a
+    /// request or a non-empty error message; it never panics.
+    #[test]
+    fn request_parse_types_every_error_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+        cut in 0usize..REQUEST.len(),
+    ) {
+        prop_assert!(Request::parse(REQUEST).is_ok(), "the template parses");
+        let noise = String::from_utf8_lossy(&bytes);
+        let (head, tail) = REQUEST.split_at(cut);
+        for line in [
+            noise.to_string(),
+            format!("{head}{noise}"),
+            format!("{head}{noise}{tail}"),
+        ] {
+            if let Err(e) = Request::parse(&line) {
+                prop_assert!(!e.is_empty(), "empty error for {line:?}");
+            }
+        }
+    }
 }
 
 #[test]

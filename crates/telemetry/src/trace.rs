@@ -45,9 +45,10 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 /// snapshot of a busy worker is at most a few hundred events stale.
 pub const FLUSH_EVERY: u32 = 1024;
 
-/// Number of distinct [`TraceEventKind`]s (length of per-kind count
-/// arrays).
-pub const N_EVENT_KINDS: usize = 14;
+/// Length of per-kind count arrays, which are indexed by kind code: one
+/// past the highest [`TraceEventKind`] code. Code 9 (the retired
+/// timer-wheel cascade event) is never recorded, so its count stays 0.
+pub const N_EVENT_KINDS: usize = TraceEventKind::FaultPlan as usize + 1;
 
 /// What a [`TraceEvent`] records. The two payload words `a`/`b` are
 /// kind-dependent (documented per variant).
@@ -71,11 +72,9 @@ pub enum TraceEventKind {
     /// The scheduler picked a newly-runnable task. `a` = task,
     /// `b` = ready-to-run delay ns.
     SchedPick = 7,
-    /// A timer-wheel insert. `a` = task, `b` = deadline ns.
+    /// An executor timer was armed. `a` = task, `b` = deadline ns.
     WheelInsert = 8,
-    /// A timer-wheel cascade re-placed entries. `a` = entry count.
-    WheelCascade = 9,
-    /// A timer-wheel entry fired. `a` = task, `b` = 1 live / 0 stale.
+    /// An executor timer fired. `a` = task, `b` = 1 live / 0 stale.
     WheelFire = 10,
     /// A retrieval burst was drained. `a` = queue, `b` = packets.
     Burst = 11,
@@ -86,8 +85,8 @@ pub enum TraceEventKind {
 }
 
 impl TraceEventKind {
-    /// Every kind, in code order (index == code).
-    pub const ALL: [TraceEventKind; N_EVENT_KINDS] = [
+    /// Every kind, in code order.
+    pub const ALL: [TraceEventKind; 13] = [
         TraceEventKind::TurnVerdict,
         TraceEventKind::Sleep,
         TraceEventKind::Park,
@@ -97,7 +96,6 @@ impl TraceEventKind {
         TraceEventKind::SliceEnd,
         TraceEventKind::SchedPick,
         TraceEventKind::WheelInsert,
-        TraceEventKind::WheelCascade,
         TraceEventKind::WheelFire,
         TraceEventKind::Burst,
         TraceEventKind::Reconfigure,
@@ -116,7 +114,6 @@ impl TraceEventKind {
             TraceEventKind::SliceEnd => "slice-end",
             TraceEventKind::SchedPick => "sched-pick",
             TraceEventKind::WheelInsert => "wheel-insert",
-            TraceEventKind::WheelCascade => "wheel-cascade",
             TraceEventKind::WheelFire => "wheel-fire",
             TraceEventKind::Burst => "burst",
             TraceEventKind::Reconfigure => "reconfigure",
@@ -126,7 +123,9 @@ impl TraceEventKind {
 
     /// The kind with the given code, if valid.
     pub fn from_code(code: u8) -> Option<TraceEventKind> {
-        TraceEventKind::ALL.get(code as usize).copied()
+        TraceEventKind::ALL
+            .into_iter()
+            .find(|&kind| kind as u8 == code)
     }
 }
 
@@ -338,12 +337,7 @@ pub trait TraceSink {
         let _ = (task, deadline_ns);
     }
 
-    /// A wheel cascade re-placed `entries` entries.
-    fn wheel_cascade(&self, entries: u64) {
-        let _ = entries;
-    }
-
-    /// A wheel entry for `task` fired (`live` false = stale generation,
+    /// A timer for `task` fired (`live` false = stale generation,
     /// discarded).
     fn wheel_fire(&self, task: usize, live: bool) {
         let _ = (task, live);
@@ -396,9 +390,6 @@ impl<T: TraceSink + ?Sized> TraceSink for &T {
     }
     fn wheel_insert(&self, task: usize, deadline_ns: u64) {
         (**self).wheel_insert(task, deadline_ns)
-    }
-    fn wheel_cascade(&self, entries: u64) {
-        (**self).wheel_cascade(entries)
     }
     fn wheel_fire(&self, task: usize, live: bool) {
         (**self).wheel_fire(task, live)
@@ -482,7 +473,7 @@ pub struct TraceRecorder {
     worker: usize,
     /// Amortized timestamp source anchored on the hub epoch: boundary
     /// events (verdicts, sleeps, parks, scheduler picks, markers) take one
-    /// precise read; payload events inside a turn (bursts, wheel traffic)
+    /// precise read; payload events inside a turn (bursts, timer traffic)
     /// reuse it. Cached reads are monotone, so per-worker event streams
     /// stay sorted — the dump-merge invariant the proptests pin down.
     clock: CoarseClock,
@@ -503,7 +494,7 @@ impl TraceRecorder {
     }
 
     /// Record against the last boundary's timestamp — no clock read. Used
-    /// by the high-frequency payload events (bursts, timer-wheel traffic),
+    /// by the high-frequency payload events (bursts, timer traffic),
     /// whose rate is what the flight recorder is measuring in the first
     /// place. Staleness is bounded by one turn; the first event on a fresh
     /// recorder still takes a precise read so nothing is stamped at the
@@ -596,10 +587,6 @@ impl TraceSink for TraceRecorder {
 
     fn wheel_insert(&self, task: usize, deadline_ns: u64) {
         self.record_coarse(TraceEventKind::WheelInsert, task as u64, deadline_ns);
-    }
-
-    fn wheel_cascade(&self, entries: u64) {
-        self.record_coarse(TraceEventKind::WheelCascade, entries, 0);
     }
 
     fn wheel_fire(&self, task: usize, live: bool) {
@@ -920,6 +907,20 @@ mod tests {
             a,
             b,
         }
+    }
+
+    #[test]
+    fn kind_codes_round_trip_and_the_retired_code_is_empty() {
+        for kind in TraceEventKind::ALL {
+            assert_eq!(TraceEventKind::from_code(kind as u8), Some(kind));
+            assert!(
+                (kind as usize) < N_EVENT_KINDS,
+                "{kind:?} fits the count arrays"
+            );
+        }
+        // Code 9 (the retired wheel-cascade) names no kind.
+        assert_eq!(TraceEventKind::from_code(9), None);
+        assert_eq!(TraceEventKind::from_code(N_EVENT_KINDS as u8), None);
     }
 
     #[test]
